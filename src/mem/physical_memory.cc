@@ -1,36 +1,59 @@
 #include "mem/physical_memory.hh"
 
+#include <cerrno>
 #include <cstring>
+
+#include <sys/mman.h>
 
 #include "util/logging.hh"
 
 namespace uldma {
 
-PhysicalMemory::PhysicalMemory(Addr size_bytes) : store_(size_bytes, 0)
+namespace {
+
+std::uint8_t *
+mapZeroed(Addr size_bytes)
 {
     ULDMA_ASSERT(size_bytes > 0, "zero-sized physical memory");
+    void *p = ::mmap(nullptr, size_bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ULDMA_ASSERT(p != MAP_FAILED, "cannot map 0x", std::hex, size_bytes,
+                 " bytes of physical memory: ", std::strerror(errno));
+    return static_cast<std::uint8_t *>(p);
+}
+
+} // namespace
+
+PhysicalMemory::PhysicalMemory(Addr size_bytes)
+    : size_(size_bytes), store_(mapZeroed(size_bytes))
+{
+}
+
+PhysicalMemory::~PhysicalMemory()
+{
+    ::munmap(store_, size_);
 }
 
 void
 PhysicalMemory::checkSpan(Addr addr, Addr size) const
 {
-    ULDMA_ASSERT(addr <= store_.size() && size <= store_.size() - addr,
+    ULDMA_ASSERT(addr <= size_ && size <= size_ - addr,
                  "physical access [0x", std::hex, addr, ", +0x", size,
-                 ") outside memory of size 0x", store_.size());
+                 ") outside memory of size 0x", size_);
 }
 
 void
 PhysicalMemory::read(Addr addr, void *dst, Addr size) const
 {
     checkSpan(addr, size);
-    std::memcpy(dst, store_.data() + addr, size);
+    std::memcpy(dst, store_ + addr, size);
 }
 
 void
 PhysicalMemory::write(Addr addr, const void *src, Addr size)
 {
     checkSpan(addr, size);
-    std::memcpy(store_.data() + addr, src, size);
+    std::memcpy(store_ + addr, src, size);
     notifyWritten(addr, size);
 }
 
@@ -56,7 +79,7 @@ void
 PhysicalMemory::fill(Addr addr, std::uint8_t byte, Addr size)
 {
     checkSpan(addr, size);
-    std::memset(store_.data() + addr, byte, size);
+    std::memset(store_ + addr, byte, size);
     notifyWritten(addr, size);
 }
 
@@ -65,7 +88,7 @@ PhysicalMemory::copy(Addr dst, Addr src, Addr size)
 {
     checkSpan(dst, size);
     checkSpan(src, size);
-    std::memmove(store_.data() + dst, store_.data() + src, size);
+    std::memmove(store_ + dst, store_ + src, size);
     notifyWritten(dst, size);
 }
 

@@ -3,6 +3,10 @@
  * The DRAM of one simulated workstation: a flat byte array with typed
  * accessors.  Timing is modeled by the owning MemoryDevice / bus; this
  * class is purely functional state.
+ *
+ * The array is one private anonymous mapping, so the host kernel hands
+ * out zeroed pages on first touch: building a 64 MiB node costs nothing
+ * for the pages a run never writes.
  */
 
 #ifndef ULDMA_MEM_PHYSICAL_MEMORY_HH
@@ -22,8 +26,12 @@ class PhysicalMemory
 {
   public:
     explicit PhysicalMemory(Addr size_bytes);
+    ~PhysicalMemory();
 
-    Addr size() const { return store_.size(); }
+    PhysicalMemory(const PhysicalMemory &) = delete;
+    PhysicalMemory &operator=(const PhysicalMemory &) = delete;
+
+    Addr size() const { return size_; }
     AddrRange range() const { return AddrRange(0, size()); }
 
     /** Read @p size bytes at @p addr into @p dst. */
@@ -49,8 +57,8 @@ class PhysicalMemory
      * Writers through this pointer must call notifyWritten()
      * afterwards so caches stay coherent.
      */
-    std::uint8_t *data() { return store_.data(); }
-    const std::uint8_t *data() const { return store_.data(); }
+    std::uint8_t *data() { return store_; }
+    const std::uint8_t *data() const { return store_; }
 
     /**
      * Register a snooper invoked with (addr, size) after every write
@@ -74,7 +82,8 @@ class PhysicalMemory
   private:
     void checkSpan(Addr addr, Addr size) const;
 
-    std::vector<std::uint8_t> store_;
+    Addr size_;
+    std::uint8_t *store_;
     std::vector<std::function<void(Addr, Addr)>> observers_;
 };
 

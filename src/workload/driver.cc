@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "prof/profiler.hh"
 #include "sim/span.hh"
@@ -81,19 +82,13 @@ dumpStallDiagnostics(Machine &machine, Tick now)
     }
 }
 
-} // namespace
-
-WorkloadResult
-runWorkload(const Scenario &scenario, std::uint64_t seed,
-            const WorkloadOptions &options)
+/** The machine @p scenario runs on: one node per scenario node, each
+ *  configured for the methods its streams use. */
+MachineConfig
+machineConfigFor(const Scenario &scenario,
+                 const std::vector<std::vector<DmaMethod>> &node_methods,
+                 std::uint64_t seed, const WorkloadOptions &options)
 {
-    ULDMA_PROF_SCOPE("workload.run");
-    std::vector<std::vector<DmaMethod>> node_methods;
-    std::string error;
-    const bool derivable = deriveNodeMethods(scenario, node_methods,
-                                             &error);
-    ULDMA_ASSERT(derivable, "invalid scenario: ", error);
-
     MachineConfig config;
     config.numNodes = scenario.nodes;
     for (unsigned n = 0; n < scenario.nodes; ++n) {
@@ -162,24 +157,48 @@ runWorkload(const Scenario &scenario, std::uint64_t seed,
         config.perNode.push_back(std::move(nc));
     }
 
-    Machine machine(config);
-    for (unsigned n = 0; n < scenario.nodes; ++n) {
-        for (DmaMethod m : node_methods[n])
-            prepareNode(machine, static_cast<NodeId>(n), m);
-    }
+    return config;
+}
 
-    span::tracker().enable();
+} // namespace
+
+WorkloadResult
+runWorkload(const Scenario &scenario, std::uint64_t seed,
+            const WorkloadOptions &options)
+{
+    ULDMA_PROF_SCOPE("workload.run");
+    std::vector<std::vector<DmaMethod>> node_methods;
+    std::string error;
+    const bool derivable = deriveNodeMethods(scenario, node_methods,
+                                             &error);
+    ULDMA_ASSERT(derivable, "invalid scenario: ", error);
 
     WorkloadResult result;
     result.seed = seed;
     result.streams.resize(scenario.streams.size());
-    for (std::size_t i = 0; i < scenario.streams.size(); ++i) {
-        const std::uint64_t seed_index =
-            options.streamSeedIds.empty() ? i
-                                          : options.streamSeedIds.at(i);
-        spawnStream(machine, scenario, scenario.streams[i], seed_index,
-                    seed, result.streams[i]);
+
+    std::unique_ptr<Machine> built;
+    {
+        ULDMA_PROF_SCOPE("workload.build");
+        built = std::make_unique<Machine>(
+            machineConfigFor(scenario, node_methods, seed, options));
+        for (unsigned n = 0; n < scenario.nodes; ++n) {
+            for (DmaMethod m : node_methods[n])
+                prepareNode(*built, static_cast<NodeId>(n), m);
+        }
+
+        span::tracker().enable();
+
+        for (std::size_t i = 0; i < scenario.streams.size(); ++i) {
+            const std::uint64_t seed_index =
+                options.streamSeedIds.empty()
+                    ? i
+                    : options.streamSeedIds.at(i);
+            spawnStream(*built, scenario, scenario.streams[i], seed_index,
+                        seed, result.streams[i]);
+        }
     }
+    Machine &machine = *built;
 
     machine.start();
 

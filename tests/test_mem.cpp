@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <fstream>
+#include <vector>
+
 #include "mem/addr_range.hh"
 #include "mem/bus.hh"
 #include "mem/memory_device.hh"
@@ -86,6 +92,58 @@ TEST(PhysicalMemory, BulkReadWrite)
     mem.read(100, out, 16);
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(out[i], in[i]);
+}
+
+/** This process's resident set in bytes, from /proc/self/statm. */
+std::uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t total_pages = 0, resident_pages = 0;
+    statm >> total_pages >> resident_pages;
+    return resident_pages *
+           static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/** True when every byte of [addr, addr+size) reads 0. */
+bool
+allZero(const PhysicalMemory &mem, Addr addr, Addr size)
+{
+    std::vector<std::uint8_t> bytes(size, 0xFF);
+    mem.read(addr, bytes.data(), size);
+    for (std::uint8_t b : bytes) {
+        if (b != 0)
+            return false;
+    }
+    return true;
+}
+
+TEST(PhysicalMemory, LazilyZeroedOnFirstTouch)
+{
+    constexpr Addr size = 64 * 1024 * 1024;
+    constexpr Addr page = 4096;
+    const std::uint64_t before = residentBytes();
+    ASSERT_GT(before, 0u);
+    {
+        PhysicalMemory mem(size);
+        EXPECT_EQ(mem.readInt(0, 1), 0u);
+        EXPECT_EQ(mem.readInt(size / 2, 8), 0u);
+        EXPECT_EQ(mem.readInt(size - 1, 1), 0u);
+        // A node a run barely touches must not cost its full size.
+        EXPECT_LT(residentBytes(), before + 16 * 1024 * 1024)
+            << "building a 64 MiB memory made it resident";
+
+        mem.fill(0, 0xA5, page);
+        mem.fill(size / 2, 0xA5, 1024 * 1024);
+        mem.fill(size - page, 0xA5, page);
+        ASSERT_EQ(mem.readInt(size - 1, 1), 0xA5u);
+    }
+    // A fresh memory must not see the old one's bytes, even if the
+    // host hands back the same addresses.
+    PhysicalMemory fresh(size);
+    EXPECT_TRUE(allZero(fresh, 0, page));
+    EXPECT_TRUE(allZero(fresh, size / 2, 1024 * 1024));
+    EXPECT_TRUE(allZero(fresh, size - page, page));
 }
 
 TEST(PhysicalMemoryDeath, OutOfRangePanics)

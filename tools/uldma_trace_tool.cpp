@@ -1797,15 +1797,26 @@ reportMissing(BenchDiffStats &st, const std::string &row,
                 39, "-");
 }
 
-/** Exact equality of two record config blocks (flat string maps). */
+/**
+ * Equality of two record config blocks (flat string maps) on every key
+ * but `host_cores`.  That key describes the recording host, not the
+ * work, so like the host wall metrics it is never gated: a baseline
+ * recorded on one core still matches a run on four.
+ */
 bool
 sameConfig(const Value &a, const Value &b)
 {
     if (!a.isObject() || !b.isObject())
         return a.isObject() == b.isObject();
-    if (a.asObject().size() != b.asObject().size())
+    const auto workKeys = [](const Value &config) {
+        const auto &members = config.asObject();
+        return members.size() - members.count("host_cores");
+    };
+    if (workKeys(a) != workKeys(b))
         return false;
     for (const auto &[k, v] : a.asObject()) {
+        if (k == "host_cores")
+            continue;
         const Value &other = b[k];
         if (!v.isString() || !other.isString() ||
             v.asString() != other.asString())
@@ -1823,7 +1834,7 @@ benchDiffRecords(BenchDiffStats &st, const Value &base, const Value &cur,
         const Value &b = brecs[i];
         const std::string name = b["name"].asString();
         // Records may legally share a name (one row per config point):
-        // match on name + exact config, and disambiguate the printed
+        // match on name + config (sameConfig), and disambiguate the printed
         // row by ordinal among the baseline's same-name records.
         unsigned ordinal = 0, same_name = 0;
         for (std::size_t j = 0; j < brecs.size(); ++j) {
