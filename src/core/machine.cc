@@ -115,7 +115,20 @@ Machine::run(Tick limit)
     // host time.  The guard restores the previous source on every
     // return path below.
     prof::TickSourceScope prof_ticks([this] { return now(); });
+    // Run-ahead is on only inside this loop; the guard turns it off on
+    // every return path below.
+    struct RunAheadOff
+    {
+        EventQueue &eq;
+        ~RunAheadOff() { eq.clearRunAheadBounds(); }
+    } run_ahead_off{eventq_};
     while (eventq_.nextEventTick() <= limit) {
+        // An event may run ahead inline (EventQueue::runAhead) only
+        // where this loop would do nothing between two events: not
+        // past the limit, not once a sample is due, and never under a
+        // run hook, which must see every event boundary.
+        eventq_.setRunAheadBounds(
+            limit, runHook_ ? 0 : sampler_ ? nextSampleAt_ : maxTick);
         {
             ULDMA_PROF_SCOPE("machine.step");
             eventq_.step();
@@ -130,7 +143,7 @@ Machine::run(Tick limit)
                 nextSampleAt_ += sampler_->interval();
             }
         }
-        if (allFinished() && eventq_.empty())
+        if (eventq_.empty() && allFinished())
             return true;
         if (runHook_ && !runHook_(now()))
             return allFinished();

@@ -129,6 +129,9 @@ class Machine
     /**
      * Run until all processes on all nodes have finished (and the
      * event queue has drained of consequences), or @p limit is hit.
+     * Only inside run() may a CPU run ahead of the queue
+     * (EventQueue::runAhead); the results are the same as stepping
+     * one micro-op per event.
      * @return true if everything finished.
      */
     bool run(Tick limit = maxTick);
@@ -139,7 +142,8 @@ class Machine
      * false stops the run at that boundary (run() then reports whether
      * everything had already finished).  Used by the workload driver
      * for scenario duration caps and progress reporting; pass nullptr
-     * to remove.
+     * to remove.  While a hook is installed no CPU runs ahead, so the
+     * hook sees one boundary per event and per micro-op.
      */
     void setRunHook(std::function<bool(Tick)> hook)
     {

@@ -89,32 +89,39 @@ Cpu::kernelBusAccess(Packet &pkt)
 void
 Cpu::tick()
 {
-    if (current_ == nullptr)
-        return;   // idled; the kernel restarts us
+    // An idled CPU (current_ == nullptr) just stops; the kernel
+    // restarts it.  Otherwise each pass retires one instruction, and
+    // the CPU runs ahead to the next one inline while nothing else is
+    // due before it (EventQueue::runAhead), which is exactly the order
+    // a queue round trip per instruction would produce.
+    while (current_ != nullptr) {
+        ExecContext &ctx = *current_;
+        Tick cost = executeOne(ctx);
 
-    ExecContext &ctx = *current_;
-    Tick cost = executeOne(ctx);
-
-    // Quantum accounting happens at instruction boundaries only —
-    // exactly where the paper's context-switch races live.
-    if (current_ != nullptr && os_ != nullptr) {
-        bool expire = false;
-        if (sliceLimited_ && current_ == &ctx) {
-            ULDMA_ASSERT(sliceInstrLeft_ > 0, "slice underflow");
-            if (--sliceInstrLeft_ == 0)
+        // Quantum accounting happens at instruction boundaries only —
+        // exactly where the paper's context-switch races live.
+        if (current_ != nullptr && os_ != nullptr) {
+            bool expire = false;
+            if (sliceLimited_ && current_ == &ctx) {
+                ULDMA_ASSERT(sliceInstrLeft_ > 0, "slice underflow");
+                if (--sliceInstrLeft_ == 0)
+                    expire = true;
+            }
+            if (!expire && now() + cost >= quantumDeadline_ &&
+                quantumDeadline_ != maxTick) {
                 expire = true;
+            }
+            if (expire)
+                cost += os_->quantumExpired();
         }
-        if (!expire && now() + cost >= quantumDeadline_ &&
-            quantumDeadline_ != maxTick) {
-            expire = true;
-        }
-        if (expire)
-            cost += os_->quantumExpired();
-    }
 
-    if (current_ != nullptr && !tickEvent_.scheduled()) {
+        if (current_ == nullptr || tickEvent_.scheduled())
+            return;
         const Tick next = now() + (cost > 0 ? cost : clockPeriod());
-        eventq().schedule(&tickEvent_, next);
+        if (!eventq().runAhead(next)) {
+            eventq().schedule(&tickEvent_, next);
+            return;
+        }
     }
 }
 
@@ -127,7 +134,7 @@ Cpu::executeOne(ExecContext &ctx)
         return os_->exited();
     }
 
-    const MicroOp op = ctx.currentOp();
+    const MicroOp &op = ctx.currentOp();
     int next_pc = ctx.pc() + 1;
     ++instrs_;
     ctx.countRetired();
@@ -226,11 +233,16 @@ Cpu::executeOp(ExecContext &ctx, const MicroOp &op, bool in_pal,
         cost += executePal(ctx, op.imm);
         break;
 
-      case OpKind::Callback:
-        if (op.hook)
-            op.hook(ctx);
+      case OpKind::Callback: {
+        // Read the op before the hook runs: a hook may relaunch the
+        // context's program, destroying @p op (and the hook itself).
         cost += cyclesToTicks(op.imm);
+        if (op.hook) {
+            const auto hook = op.hook;
+            hook(ctx);
+        }
         break;
+      }
 
       case OpKind::Yield: {
         ULDMA_ASSERT(!in_pal, "yield inside PAL code");
@@ -263,7 +275,7 @@ Cpu::executePal(ExecContext &ctx, std::uint64_t index)
     ULDMA_TRACE("Cpu", now(), name_, ": PAL call ", index, " by pid ",
                 ctx.pid());
 
-    // The whole PAL body runs inside this one tick event: no quantum
+    // The whole PAL body runs as this one instruction: no quantum
     // check, no interrupt — the uninterruptibility of paper §2.7.
     Tick cost = cyclesToTicks(params_.palEntryExitCycles);
     int pal_pc = 0;

@@ -4,13 +4,17 @@
  * Alpha-style PAL mode, clocked at 150 MHz by default (the DEC Alpha
  * 3000 model 300 of the paper's testbed).
  *
- * One micro-op executes per CPU tick event; its cost in ticks is
- * computed from the cost model plus any bus time consumed, and the next
- * tick is scheduled after it.  The OS is invoked through OsCallbacks at
- * traps (syscall, fault) and at quantum boundaries — the only places a
- * context switch can happen, matching the instruction-boundary
- * preemption the paper's race conditions are built from.  A PAL call
- * executes all of its micro-ops inside a single tick event and is
+ * One micro-op executes per CPU tick; its cost in ticks is computed
+ * from the cost model plus any bus time consumed, and the next tick
+ * falls after it.  When that next tick is strictly earlier than every
+ * other pending event, the CPU runs it inline in the same tick event
+ * (EventQueue::runAhead) instead of a queue round trip; the order of
+ * everything the simulation observes is the same either way.  The OS
+ * is invoked through OsCallbacks at traps (syscall, fault) and at
+ * quantum boundaries — the only places a context switch can happen,
+ * matching the instruction-boundary preemption the paper's race
+ * conditions are built from.  A PAL call executes all of its micro-ops
+ * as a single instruction, with no quantum check in between, and is
  * therefore uninterruptible, which is precisely the property the PAL
  * solution (paper §2.7) relies on.
  */
@@ -168,7 +172,7 @@ class Cpu : public Clocked
         Cpu &cpu_;
     };
 
-    /** Execute one instruction and reschedule. */
+    /** Execute instructions until another event is due, then reschedule. */
     void tick();
 
     /** Execute the current op of @p ctx. @return cost in ticks. */

@@ -1,7 +1,5 @@
 #include "sim/event.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace uldma {
@@ -16,14 +14,28 @@ Event::~Event()
 
 EventQueue::~EventQueue()
 {
-    for (auto &owned : ownedPending_) {
-        if (owned->scheduled())
-            deschedule(owned.get());
+    // Only owned entries are dereferenced: a stale entry of a caller's
+    // event may outlive that event.  An owned event has exactly one
+    // entry (nobody else can reschedule it), so each is freed once.
+    while (!queue_.empty()) {
+        const QueueEntry entry = queue_.top();
+        queue_.pop();
+        if (!entry.owned)
+            continue;
+        if (entry.event->scheduled_)
+            deschedule(entry.event);
+        delete entry.event;
     }
 }
 
 void
 EventQueue::schedule(Event *event, Tick when)
+{
+    push(event, when, /*owned=*/false);
+}
+
+void
+EventQueue::push(Event *event, Tick when, bool owned)
 {
     ULDMA_ASSERT(event != nullptr, "scheduling null event");
     ULDMA_ASSERT(!event->scheduled_, "event '", event->name(),
@@ -35,7 +47,8 @@ EventQueue::schedule(Event *event, Tick when)
     event->squashed_ = false;
     event->when_ = when;
     event->sequence_ = nextSequence_++;
-    queue_.push(QueueEntry{when, event->priority(), event->sequence_, event});
+    queue_.push(QueueEntry{when, event->priority(), owned, event->sequence_,
+                           event});
     ++numScheduled_;
 }
 
@@ -62,21 +75,8 @@ void
 EventQueue::scheduleLambda(std::string name, Tick when,
                            std::function<void()> fn, int priority)
 {
-    auto owned = std::make_unique<LambdaEvent>(std::move(name),
-                                               std::move(fn), priority);
-    schedule(owned.get(), when);
-    ownedPending_.push_back(std::move(owned));
-}
-
-void
-EventQueue::reclaimOwned(Event *event)
-{
-    auto it = std::find_if(ownedPending_.begin(), ownedPending_.end(),
-                           [event](const std::unique_ptr<LambdaEvent> &p) {
-                               return p.get() == event;
-                           });
-    if (it != ownedPending_.end())
-        ownedPending_.erase(it);
+    push(new LambdaEvent(std::move(name), std::move(fn), priority), when,
+         /*owned=*/true);
 }
 
 void
@@ -87,13 +87,15 @@ EventQueue::purgeStale()
         Event *event = top.event;
         if (event->scheduled_ && event->sequence_ == top.sequence)
             return;
-        // Stale or squashed entry: drop it; reclaim squashed owned
+        // Stale or squashed entry: drop it; free squashed owned
         // lambdas so they do not leak for the queue's lifetime.
-        const bool reclaim = event->squashed_;
+        const bool squashed = event->squashed_;
+        const bool owned = top.owned;
         queue_.pop();
-        if (reclaim) {
+        if (squashed) {
             event->squashed_ = false;
-            reclaimOwned(event);
+            if (owned)
+                delete event;
         }
     }
 }
@@ -122,7 +124,8 @@ EventQueue::step()
     --numScheduled_;
     ++numProcessed_;
     event->process();
-    reclaimOwned(event);
+    if (entry.owned)
+        delete event;
     return true;
 }
 
@@ -142,6 +145,16 @@ EventQueue::advanceTo(Tick when)
 {
     ULDMA_ASSERT(when >= now_, "cannot advance time backwards");
     now_ = when;
+}
+
+bool
+EventQueue::runAhead(Tick when)
+{
+    if (now_ >= runAheadStop_ || when > runAheadLimit_ ||
+        when >= nextEventTick())
+        return false;
+    advanceTo(when);
+    return true;
 }
 
 } // namespace uldma

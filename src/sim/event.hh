@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
@@ -75,7 +74,11 @@ class Event
     std::uint64_t sequence_ = 0;
 };
 
-/** One-shot event wrapping a std::function. Owns itself when fired. */
+/**
+ * One-shot event wrapping a std::function.  When scheduled through
+ * EventQueue::scheduleLambda() the queue owns it and frees it once it
+ * fires or is squashed.
+ */
 class LambdaEvent : public Event
 {
   public:
@@ -149,12 +152,40 @@ class EventQueue
     /** Advance time to @p when without firing later events. */
     void advanceTo(Tick when);
 
+    /**
+     * Bound run-ahead (see runAhead()): no inline step may reach past
+     * @p limit, and none is taken once now() >= @p stop_at.  Machine::run()
+     * publishes them before each step and turns run-ahead off when it
+     * returns; a queue driven directly never runs ahead.
+     */
+    void
+    setRunAheadBounds(Tick limit, Tick stop_at)
+    {
+        runAheadLimit_ = limit;
+        runAheadStop_ = stop_at;
+    }
+
+    /** Turn run-ahead off: runAhead() then always refuses. */
+    void clearRunAheadBounds() { setRunAheadBounds(0, 0); }
+
+    /**
+     * Called by the event being processed to continue at @p when
+     * without a queue round trip.  Allowed only if @p when is strictly
+     * earlier than every pending event, so the (when, priority,
+     * sequence) order is exactly what scheduling would have produced,
+     * and within the published bounds.  On success now() advances to
+     * @p when and the caller carries on; otherwise nothing changes and
+     * the caller schedules itself as usual.  An inline step is not
+     * counted by numProcessed().
+     */
+    bool runAhead(Tick when);
+
     /** Total number of events processed so far. */
     std::uint64_t numProcessed() const { return numProcessed_; }
 
   private:
-    /** Release an owned one-shot lambda event after it fires. */
-    void reclaimOwned(Event *event);
+    /** Queue @p event at @p when; @p owned events are freed by the queue. */
+    void push(Event *event, Tick when, bool owned);
     /** Drop squashed/stale entries from the head of the queue. */
     void purgeStale();
 
@@ -162,6 +193,8 @@ class EventQueue
     {
         Tick when;
         int priority;
+        /** The queue allocated the event (scheduleLambda) and frees it. */
+        bool owned;
         std::uint64_t sequence;
         Event *event;
 
@@ -182,7 +215,9 @@ class EventQueue
     std::uint64_t nextSequence_ = 0;
     std::uint64_t numProcessed_ = 0;
     std::size_t numScheduled_ = 0;
-    std::vector<std::unique_ptr<LambdaEvent>> ownedPending_;
+    Tick runAheadLimit_ = 0;
+    /** 0 keeps run-ahead off: now() >= 0 always holds. */
+    Tick runAheadStop_ = 0;
 };
 
 } // namespace uldma
