@@ -17,9 +17,12 @@
  *    the worst queue wait any request saw, and the Jain fairness
  *    index over all tenants.
  *
- * Like bench_ring/bench_iommu, --json writes a dedicated document
- * (schema uldma-cap-v1, consumed by CI as BENCH_cap.json) instead of
- * the generic uldma-bench-v1 record list.
+ * --json records `cap/initiation/<method>`, `cap/headline`,
+ * `cap/class/<rate class>` and `cap/storm` rows.  The exhibit fails
+ * (no report) unless the capability check costs something, the
+ * storm's tenants (at least 100, checked at compile time) see no
+ * rejects, and every rate class earns a higher share than the class
+ * below it.
  */
 
 #include "bench_common.hh"
@@ -45,6 +48,8 @@ constexpr unsigned kInitIterations = 1000;
 constexpr unsigned kClasses = 4;
 constexpr unsigned kTenantsPerClass = 32;
 constexpr unsigned kTenants = kClasses * kTenantsPerClass;
+static_assert(kTenants >= 100,
+              "the fairness claim is about at least 100 tenants");
 constexpr unsigned kTransfersPerTenant = 64;
 constexpr Addr kStormBytes = pageSize;
 /** CPU quantum of the storm: short slices interleave the tenants'
@@ -177,22 +182,16 @@ measureStorm()
     return m;
 }
 
-/** Results stashed by the exhibit for the uldma-cap-v1 document. */
-InitiationMeasurement g_cap;
-InitiationMeasurement g_keyBased;
-StormMeasurement g_storm;
-
 void
-printExhibit()
+printExhibit(benchutil::Reporter &reporter)
 {
-    {
-        MeasureConfig config;
-        config.method = DmaMethod::Cap;
-        config.iterations = kInitIterations;
-        g_cap = measureInitiation(config);
-        config.method = DmaMethod::KeyBased;
-        g_keyBased = measureInitiation(config);
-    }
+    MeasureConfig config;
+    config.method = DmaMethod::Cap;
+    config.iterations = kInitIterations;
+    const InitiationMeasurement cap = measureInitiation(config);
+    config.method = DmaMethod::KeyBased;
+    const InitiationMeasurement key_based = measureInitiation(config);
+    const double premium_us = cap.avgUs - key_based.avgUs;
 
     benchutil::header("Capability-gated DMA: initiation cost and "
                       "multi-tenant fairness");
@@ -201,99 +200,86 @@ printExhibit()
     std::printf("%-28s %10s %10s %10s %8s\n", "method", "avg us",
                 "min us", "max us", "instrs");
     benchutil::rule(70);
-    for (const InitiationMeasurement *m : {&g_cap, &g_keyBased}) {
+    for (const InitiationMeasurement *m : {&cap, &key_based}) {
         std::printf("%-28s %10.2f %10.2f %10.2f %8.1f\n",
                     toString(m->method), m->avgUs, m->minUs, m->maxUs,
                     m->instructions);
+        const char *method =
+            m->method == DmaMethod::Cap ? "cap" : "key-based";
+        reporter.record(std::string("cap/initiation/") + method)
+            .config("method", method)
+            .config("iterations", std::int64_t{m->iterations})
+            .metric("avg_us", m->avgUs)
+            .metric("min_us", m->minUs)
+            .metric("max_us", m->maxUs)
+            .metric("instructions_per_initiation", m->instructions)
+            .metric("uncached_accesses_per_initiation",
+                    m->uncachedAccesses);
     }
     std::printf("\ncapability premium over key-based: %.2f us "
                 "(table check + arbiter hop + completion wait)\n",
-                g_cap.avgUs - g_keyBased.avgUs);
+                premium_us);
+    reporter.claim(premium_us > 0.0,
+                   "the capability check costs nothing over key-based");
+    reporter.record("cap/headline")
+        .metric("cap_avg_us", cap.avgUs)
+        .metric("key_based_avg_us", key_based.avgUs)
+        .metric("cap_premium_us", premium_us);
 
-    g_storm = measureStorm();
+    const StormMeasurement storm = measureStorm();
     std::printf("\ntenant storm: %u tenants (%u per class), %u x %llu B "
                 "each, %.1f us simulated\n\n",
                 kTenants, kTenantsPerClass, kTransfersPerTenant,
                 static_cast<unsigned long long>(kStormBytes),
-                g_storm.durationUs);
+                storm.durationUs);
     std::printf("%-12s %-8s %-14s %-8s %s\n", "rate class", "weight",
                 "bytes", "share", "share/tenant");
     benchutil::rule(60);
-    for (const ClassShare &cls : g_storm.classes) {
+    double min_class_share = 1.0;
+    for (std::size_t i = 0; i < storm.classes.size(); ++i) {
+        const ClassShare &cls = storm.classes[i];
         std::printf("%-12u %-8u %-14llu %-8.3f %.5f\n", cls.rateClass,
                     CapArbiter::weightOf(cls.rateClass),
                     static_cast<unsigned long long>(cls.bytes),
                     cls.share, cls.share / cls.tenants);
+        reporter.claim(i == 0 || cls.share > storm.classes[i - 1].share,
+                       "rate class " + std::to_string(cls.rateClass) +
+                           " did not earn a higher share than the class "
+                           "below it");
+        min_class_share = std::min(min_class_share, cls.share);
+        reporter.record("cap/class/" + std::to_string(cls.rateClass))
+            .config("rate_class", std::int64_t{cls.rateClass})
+            .config("weight",
+                    std::int64_t{CapArbiter::weightOf(cls.rateClass)})
+            .config("tenants", std::int64_t{cls.tenants})
+            .metric("bytes", static_cast<double>(cls.bytes))
+            .metric("share", cls.share);
     }
     std::printf("\njain index %.4f over %u tenants; per-tenant share "
                 "min %.5f max %.5f;\nworst queue wait %.1f us; %llu "
                 "presentation(s), %llu reject(s)\n",
-                g_storm.jainIndex, kTenants, g_storm.minTenantShare,
-                g_storm.maxTenantShare, g_storm.maxStarvationUs,
-                static_cast<unsigned long long>(g_storm.presentations),
-                static_cast<unsigned long long>(g_storm.rejects));
-}
+                storm.jainIndex, kTenants, storm.minTenantShare,
+                storm.maxTenantShare, storm.maxStarvationUs,
+                static_cast<unsigned long long>(storm.presentations),
+                static_cast<unsigned long long>(storm.rejects));
+    reporter.claim(storm.rejects == 0, "valid capwords were rejected");
 
-void
-writeCapJson(std::ostream &os, std::uint64_t wall_ns)
-{
-    json::Writer w(os, /*pretty=*/true);
-    w.beginObject();
-    w.member("schema", "uldma-cap-v1");
-    w.member("benchmark", "bench_cap");
-    w.member("wall_ns", wall_ns);
-    w.member("seed", benchutil::seedBase());
-
-    w.key("initiation");
-    w.beginArray();
-    for (const InitiationMeasurement *m : {&g_cap, &g_keyBased}) {
-        w.beginObject();
-        w.member("method",
-                 m->method == DmaMethod::Cap ? "cap" : "key-based");
-        w.member("iterations", std::uint64_t{m->iterations});
-        w.member("avg_us", m->avgUs);
-        w.member("min_us", m->minUs);
-        w.member("max_us", m->maxUs);
-        w.member("instructions_per_initiation", m->instructions);
-        w.member("uncached_accesses_per_initiation",
-                 m->uncachedAccesses);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("fairness");
-    w.beginObject();
-    w.member("tenants", std::uint64_t{kTenants});
-    w.member("transfers_per_tenant", std::uint64_t{kTransfersPerTenant});
-    w.member("transfer_bytes", std::uint64_t{kStormBytes});
-    w.member("duration_us", g_storm.durationUs);
-    w.member("total_bytes", g_storm.totalBytes);
-    w.member("presentations", g_storm.presentations);
-    w.member("rejects", g_storm.rejects);
-    w.key("classes");
-    w.beginArray();
-    for (const ClassShare &cls : g_storm.classes) {
-        w.beginObject();
-        w.member("rate_class", std::uint64_t{cls.rateClass});
-        w.member("weight",
-                 std::uint64_t{CapArbiter::weightOf(cls.rateClass)});
-        w.member("tenants", std::uint64_t{cls.tenants});
-        w.member("bytes", cls.bytes);
-        w.member("share", cls.share);
-        w.endObject();
-    }
-    w.endArray();
-    w.member("jain_index", g_storm.jainIndex);
-    w.member("min_tenant_share", g_storm.minTenantShare);
-    w.member("max_tenant_share", g_storm.maxTenantShare);
-    w.member("max_starvation_us", g_storm.maxStarvationUs);
-    w.endObject();
-
-    w.member("cap_avg_us", g_cap.avgUs);
-    w.member("key_based_avg_us", g_keyBased.avgUs);
-    w.member("cap_premium_us", g_cap.avgUs - g_keyBased.avgUs);
-    w.endObject();
-    os << "\n";
+    // Upper classes trading share among themselves is the arbiter
+    // doing its job, so their `share` stays ungated; the weakest
+    // class's share (min_class_share) and tenant's share gate upward.
+    reporter.record("cap/storm")
+        .config("tenants", std::int64_t{kTenants})
+        .config("transfers_per_tenant", std::int64_t{kTransfersPerTenant})
+        .config("transfer_bytes", std::int64_t{kStormBytes})
+        .metric("duration_us", storm.durationUs)
+        .metric("total_bytes", static_cast<double>(storm.totalBytes))
+        .metric("presentations", static_cast<double>(storm.presentations))
+        .metric("rejects", static_cast<double>(storm.rejects))
+        .metric("jain_index", storm.jainIndex)
+        .metric("min_class_share", min_class_share)
+        .metric("min_tenant_share", storm.minTenantShare)
+        .metric("max_tenant_share", storm.maxTenantShare)
+        .metric("max_starvation_us", storm.maxStarvationUs);
 }
 
 void
@@ -329,8 +315,5 @@ int
 main(int argc, char **argv)
 {
     registerBenchmarks();
-    // This binary's --json report is the uldma-cap-v1 document, not
-    // the shared uldma-bench-v1 record list.
-    uldma::benchutil::setDocumentWriter(writeCapJson);
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -146,6 +145,23 @@ class Reporter
 
     std::size_t size() const { return records_.size(); }
 
+    /**
+     * Check one of the exhibit's claims about the paper's result (or
+     * the subsystem it measures).  A failed claim is printed to stderr
+     * and makes benchMain exit 1 without writing --json, so no report
+     * can carry a broken claim past the regression gate.
+     */
+    void
+    claim(bool ok, const std::string &what)
+    {
+        if (ok)
+            return;
+        std::fprintf(stderr, "claim failed: %s\n", what.c_str());
+        ++failedClaims_;
+    }
+
+    unsigned failedClaims() const { return failedClaims_; }
+
     void
     writeJson(std::ostream &os, const std::string &benchmark,
               std::uint64_t wall_ns) const
@@ -166,6 +182,7 @@ class Reporter
 
   private:
     std::vector<std::unique_ptr<Record>> records_;
+    unsigned failedClaims_ = 0;
 };
 
 inline std::string
@@ -175,32 +192,11 @@ basenameOf(const std::string &path)
     return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/** The optional whole-document writer benchMain uses for --json in
- *  place of Reporter::writeJson (see setDocumentWriter). */
-inline std::function<void(std::ostream &, std::uint64_t)> &
-documentWriterStorage()
-{
-    static std::function<void(std::ostream &, std::uint64_t)> writer;
-    return writer;
-}
-
-/**
- * Replace the uldma-bench-v1 record list benchMain writes for --json
- * with a custom document.  For the one bench whose natural report is
- * not a flat record list (bench_ring's uldma-ring-v1 crossover
- * curve): call before benchMain so every binary still shares one
- * main() and one --json/--seed/--exhibit-only surface.
- */
-inline void
-setDocumentWriter(std::function<void(std::ostream &, std::uint64_t)> writer)
-{
-    documentWriterStorage() = std::move(writer);
-}
-
 /**
  * Standard main: print the exhibit (callback), then run benchmarks.
  * The exhibit callback may optionally take a Reporter& to publish its
- * measurements; --json <path> writes them as a JSON document.
+ * measurements and check its claims; --json <path> writes them as a
+ * JSON document.  A failed claim exits 1 without writing --json.
  * Passing --exhibit-only skips the google-benchmark timing loop.
  */
 template <typename ExhibitFn>
@@ -240,20 +236,21 @@ benchMain(int argc, char **argv, ExhibitFn &&exhibit)
             std::chrono::steady_clock::now() - wall_start)
             .count());
 
+    if (reporter.failedClaims() != 0) {
+        std::fprintf(stderr, "%s: %u claim(s) failed; no report written\n",
+                     basenameOf(argv[0]).c_str(), reporter.failedClaims());
+        return 1;
+    }
+
     if (!json_path.empty()) {
         std::ofstream os(json_path);
         if (!os) {
             std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
             return 1;
         }
-        if (documentWriterStorage()) {
-            documentWriterStorage()(os, wall_ns);
-            std::printf("\nwrote %s\n", json_path.c_str());
-        } else {
-            reporter.writeJson(os, basenameOf(argv[0]), wall_ns);
-            std::printf("\nwrote %zu records to %s\n", reporter.size(),
-                        json_path.c_str());
-        }
+        reporter.writeJson(os, basenameOf(argv[0]), wall_ns);
+        std::printf("\nwrote %zu records to %s\n", reporter.size(),
+                    json_path.c_str());
     }
 
     if (exhibit_only)

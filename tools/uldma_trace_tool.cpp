@@ -4,14 +4,14 @@
  *
  * Subcommands:
  *
- *   summarize <spans.json | workload-report.json | ring-sweep.json>
+ *   summarize <spans.json | workload-report.json | bench-report.json>
  *       uldma-spans-v1: per-protocol table of outcome counts and
  *       end-to-end / per-phase latency quantiles — the offline
  *       reproduction of the paper's Table 1 view.
  *       uldma-workload-v1: offered-vs-achieved table of a workload
  *       engine run.
- *       uldma-ring-v1: descriptor-ring crossover curve (amortized
- *       batched initiation vs the per-transfer baselines).
+ *       uldma-bench-v1: every record's config and metrics, each
+ *       metric marked with the direction bench-diff gates it in.
  *
  *   diff <before.json> <after.json> [--threshold=<pct>]
  *       Compare per-protocol end-to-end p50 between two uldma-spans-v1
@@ -25,28 +25,32 @@
  *       compare the flattened scope paths and rank the deltas.
  *
  *   bench-diff <baseline.json> <current.json> [--threshold=<pct>]
- *       The perf-regression gate: compare two uldma-bench-v1 or two
- *       uldma-ring-v1 reports metric by metric.  Metric direction is
- *       classified by name (see metricDirection); host wall-time
- *       metrics are never gated.  Exit 1 when any tracked metric
- *       moved the wrong way past the threshold (default 10%) or a
- *       baseline record/metric vanished; exit 2 when the reports are
- *       not comparable (schema or seed mismatch).
+ *       The perf-regression gate: compare two uldma-bench-v1 reports
+ *       record by record (matched on name + config), metric by
+ *       metric.  Metric direction is classified by name (see
+ *       metricDirection); host wall-time metrics are never gated.
+ *       Exit 1 when any tracked metric moved the wrong way past the
+ *       threshold (default 10%), a baseline record/metric vanished,
+ *       or no tracked metric was compared at all; exit 2 when the
+ *       reports are not comparable (either one invalid, or a schema,
+ *       benchmark or seed mismatch).
  *
  *   bench-perturb <in.json> <out.json> [--factor=<f>]
- *       Write a copy of a bench report with every lower-is-better
- *       metric multiplied by the factor (default 1.5) — a synthetic
+ *       Write a copy of a uldma-bench-v1 report with every gated
+ *       metric worsened by the factor (default 1.5): lower-is-better
+ *       ones multiplied, higher-is-better ones divided — a synthetic
  *       regression for exercising the bench-diff gate in tests.
  *
  *   validate <file.json> [...]
  *       Schema-check any of the simulator's JSON artifacts
  *       (uldma-stats-v1, uldma-spans-v1, uldma-timeseries-v1,
- *       uldma-bench-v1, uldma-workload-v1, uldma-schedule-v1,
- *       uldma-fuzz-v1, uldma-ring-v1, chrome://tracing).  Every
- *       accepted shape is documented in docs/SCHEMAS.md.
- *       uldma-workload-v1, uldma-schedule-v1, uldma-fuzz-v1 and
- *       uldma-ring-v1 validation is strict:
- *       unknown members anywhere in the document are problems.
+ *       uldma-bench-v1, uldma-bench-summary-v1, uldma-workload-v1,
+ *       uldma-schedule-v1, uldma-fuzz-v1, uldma-profile-v1,
+ *       chrome://tracing).  Every accepted shape is documented in
+ *       docs/SCHEMAS.md.  uldma-workload-v1, uldma-schedule-v1,
+ *       uldma-fuzz-v1, uldma-profile-v1 and uldma-bench-summary-v1
+ *       validation is strict: unknown members anywhere in the
+ *       document are problems.
  *       Schema tags are resolved through a family/version registry:
  *       an unknown *version* of a known family (e.g.
  *       "uldma-spans-v2") is a hard error naming the versions this
@@ -246,19 +250,65 @@ validateStats(Problems &p, const Value &doc)
     }
 }
 
+/**
+ * Equality of two record config blocks (flat string maps) on every key
+ * but `host_cores`.  That key describes the recording host, not the
+ * work, so like the host wall metrics it is never gated: a baseline
+ * recorded on one core still matches a run on four.
+ */
+bool
+sameConfig(const Value &a, const Value &b)
+{
+    if (!a.isObject() || !b.isObject())
+        return a.isObject() == b.isObject();
+    const auto workKeys = [](const Value &config) {
+        const auto &members = config.asObject();
+        return members.size() - members.count("host_cores");
+    };
+    if (workKeys(a) != workKeys(b))
+        return false;
+    for (const auto &[k, v] : a.asObject()) {
+        if (k == "host_cores")
+            continue;
+        const Value &other = b[k];
+        if (!v.isString() || !other.isString() ||
+            v.asString() != other.asString())
+            return false;
+    }
+    return true;
+}
+
 void
 validateBench(Problems &p, const Value &doc)
 {
     p.require(doc["benchmark"].isString(), "benchmark missing");
+    // bench-diff refuses to compare reports of different seeds.
+    p.require(doc["seed"].isNumber(), "seed missing");
     p.require(doc["records"].isArray(), "records missing");
     if (!doc["records"].isArray())
         return;
     const auto &records = doc["records"].asArray();
     for (std::size_t i = 0; i < records.size(); ++i) {
+        const Value &r = records[i];
         const std::string where = "records[" + std::to_string(i) + "]";
-        p.require(records[i]["name"].isString(), where + ".name missing");
-        p.require(records[i]["metrics"].isObject(),
-                  where + ".metrics missing");
+        p.require(r["name"].isString(), where + ".name missing");
+        p.require(r["config"].isObject(), where + ".config missing");
+        for (const auto &[k, v] : r["config"].asObject())
+            p.require(v.isString(),
+                      where + ".config." + k + " is not a string");
+        p.require(r["metrics"].isObject(), where + ".metrics missing");
+        for (const auto &[k, v] : r["metrics"].asObject())
+            p.require(v.isNumber(),
+                      where + ".metrics." + k + " is not a number");
+        // bench-diff matches records on (name, config): a repeated
+        // pair would make the match ambiguous.
+        for (std::size_t j = 0; j < i; ++j) {
+            p.require(!(records[j]["name"].asString() ==
+                            r["name"].asString() &&
+                        sameConfig(records[j]["config"], r["config"])),
+                      where + " repeats the name and config of records[" +
+                          std::to_string(j) + "]");
+        }
     }
 }
 
@@ -516,260 +566,6 @@ validateSchedule(Problems &p, const Value &doc)
                       where + ".invariant missing");
             p.require(vs[i]["detail"].isString(),
                       where + ".detail missing");
-        }
-    }
-}
-
-/** Strict uldma-ring-v1 check (bench_ring crossover curves). */
-void
-validateRing(Problems &p, const Value &doc)
-{
-    checkNoExtra(p, doc,
-                 {"schema", "benchmark", "wall_ns", "seed", "transfers",
-                  "transfer_bytes", "baselines", "depths",
-                  "crossover_depth", "crossover_baseline"},
-                 "root");
-    p.require(doc["benchmark"].isString(), "benchmark missing");
-    for (const char *f :
-         {"wall_ns", "seed", "transfers", "transfer_bytes"})
-        p.require(doc[f].isNumber(), std::string(f) + " missing");
-
-    p.require(doc["baselines"].isArray(), "baselines missing");
-    if (doc["baselines"].isArray()) {
-        const auto &rows = doc["baselines"].asArray();
-        p.require(!rows.empty(), "baselines is empty");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where =
-                "baselines[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"protocol", "per_transfer_us",
-                          "instructions_per_transfer",
-                          "uncached_per_transfer",
-                          "includes_completion"},
-                         where);
-            p.require(r["protocol"].isString(),
-                      where + ".protocol missing");
-            p.require(r["includes_completion"].isBool(),
-                      where + ".includes_completion missing");
-            for (const char *f :
-                 {"per_transfer_us", "instructions_per_transfer",
-                  "uncached_per_transfer"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-        }
-    }
-
-    p.require(doc["depths"].isArray(), "depths missing");
-    if (doc["depths"].isArray()) {
-        const auto &rows = doc["depths"].asArray();
-        p.require(!rows.empty(), "depths is empty");
-        double last_depth = 0.0;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where =
-                "depths[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"depth", "batches", "amortized_us", "total_us",
-                          "instructions_per_transfer",
-                          "uncached_per_transfer", "initiations_started",
-                          "successes", "includes_completion"},
-                         where);
-            p.require(r["includes_completion"].isBool(),
-                      where + ".includes_completion missing");
-            for (const char *f :
-                 {"depth", "batches", "amortized_us", "total_us",
-                  "instructions_per_transfer", "uncached_per_transfer",
-                  "initiations_started", "successes"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-            if (r["depth"].isNumber()) {
-                const double d = r["depth"].asNumber();
-                p.require(d >= 1.0, where + ".depth below 1");
-                p.require(d > last_depth,
-                          where + ".depth breaks strictly increasing "
-                                  "order");
-                last_depth = d;
-            }
-        }
-    }
-
-    p.require(doc["crossover_depth"].isNumber(),
-              "crossover_depth missing");
-    p.require(doc["crossover_baseline"].isString(),
-              "crossover_baseline missing");
-    // A nonzero crossover must name one of the swept depths.
-    if (doc["crossover_depth"].isNumber() &&
-        doc["crossover_depth"].asNumber() != 0.0 &&
-        doc["depths"].isArray()) {
-        const double x = doc["crossover_depth"].asNumber();
-        bool found = false;
-        for (const Value &r : doc["depths"].asArray())
-            found = found ||
-                    (r["depth"].isNumber() && r["depth"].asNumber() == x);
-        p.require(found, "crossover_depth is not one of the swept "
-                         "depths");
-    }
-}
-
-/** Strict uldma-iommu-v1 check (bench_iommu IOTLB/pinning sweeps). */
-void
-validateIommu(Problems &p, const Value &doc)
-{
-    checkNoExtra(p, doc,
-                 {"schema", "benchmark", "wall_ns", "seed", "transfers",
-                  "transfer_bytes", "iotlb_entries", "iotlb_ways",
-                  "points", "hot_us", "cold_us", "walk_penalty_us"},
-                 "root");
-    p.require(doc["benchmark"].isString(), "benchmark missing");
-    for (const char *f :
-         {"wall_ns", "seed", "transfers", "transfer_bytes",
-          "iotlb_entries", "iotlb_ways", "hot_us", "cold_us",
-          "walk_penalty_us"})
-        p.require(doc[f].isNumber(), std::string(f) + " missing");
-
-    p.require(doc["points"].isArray(), "points missing");
-    if (doc["points"].isArray()) {
-        const auto &rows = doc["points"].asArray();
-        p.require(!rows.empty(), "points is empty");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where = "points[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"pinning", "slots", "hits", "misses", "walks",
-                          "hit_rate", "amortized_us",
-                          "translation_p50_us", "demand_pins",
-                          "pin_evictions"},
-                         where);
-            p.require(r["pinning"].isString(), where + ".pinning missing");
-            if (r["pinning"].isString()) {
-                const std::string &pin = r["pinning"].asString();
-                p.require(pin == "on-map" || pin == "on-demand",
-                          where + ".pinning must be on-map|on-demand");
-            }
-            for (const char *f :
-                 {"slots", "hits", "misses", "walks", "hit_rate",
-                  "amortized_us", "translation_p50_us", "demand_pins",
-                  "pin_evictions"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-            if (r["hit_rate"].isNumber()) {
-                const double hr = r["hit_rate"].asNumber();
-                p.require(hr >= 0.0 && hr <= 1.0,
-                          where + ".hit_rate outside [0, 1]");
-            }
-            if (r["slots"].isNumber())
-                p.require(r["slots"].asNumber() >= 1.0,
-                          where + ".slots below 1");
-            // One row per (pinning, slots) sweep point.
-            for (std::size_t j = 0; j < i; ++j) {
-                const Value &o = rows[j];
-                const bool dup =
-                    o["pinning"].isString() && r["pinning"].isString() &&
-                    o["pinning"].asString() == r["pinning"].asString() &&
-                    o["slots"].isNumber() && r["slots"].isNumber() &&
-                    o["slots"].asNumber() == r["slots"].asNumber();
-                p.require(!dup, where + " duplicates points[" +
-                                    std::to_string(j) + "]");
-            }
-        }
-    }
-}
-
-/** Strict uldma-cap-v1 check (bench_cap initiation/fairness report). */
-void
-validateCap(Problems &p, const Value &doc)
-{
-    checkNoExtra(p, doc,
-                 {"schema", "benchmark", "wall_ns", "seed", "initiation",
-                  "fairness", "cap_avg_us", "key_based_avg_us",
-                  "cap_premium_us"},
-                 "root");
-    p.require(doc["benchmark"].isString(), "benchmark missing");
-    for (const char *f : {"wall_ns", "seed", "cap_avg_us",
-                          "key_based_avg_us", "cap_premium_us"})
-        p.require(doc[f].isNumber(), std::string(f) + " missing");
-
-    p.require(doc["initiation"].isArray(), "initiation missing");
-    if (doc["initiation"].isArray()) {
-        const auto &rows = doc["initiation"].asArray();
-        p.require(!rows.empty(), "initiation is empty");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where =
-                "initiation[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"method", "iterations", "avg_us", "min_us",
-                          "max_us", "instructions_per_initiation",
-                          "uncached_accesses_per_initiation"},
-                         where);
-            p.require(r["method"].isString(), where + ".method missing");
-            if (r["method"].isString()) {
-                const std::string &m = r["method"].asString();
-                p.require(m == "cap" || m == "key-based",
-                          where + ".method must be cap|key-based");
-            }
-            for (const char *f :
-                 {"iterations", "avg_us", "min_us", "max_us",
-                  "instructions_per_initiation",
-                  "uncached_accesses_per_initiation"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-        }
-    }
-
-    const Value &fair = doc["fairness"];
-    p.require(fair.isObject(), "fairness missing");
-    if (fair.isObject()) {
-        checkNoExtra(p, fair,
-                     {"tenants", "transfers_per_tenant", "transfer_bytes",
-                      "duration_us", "total_bytes", "presentations",
-                      "rejects", "classes", "jain_index",
-                      "min_tenant_share", "max_tenant_share",
-                      "max_starvation_us"},
-                     "fairness");
-        for (const char *f :
-             {"tenants", "transfers_per_tenant", "transfer_bytes",
-              "duration_us", "total_bytes", "presentations", "rejects",
-              "jain_index", "min_tenant_share", "max_tenant_share",
-              "max_starvation_us"})
-            p.require(fair[f].isNumber(),
-                      std::string("fairness.") + f + " missing");
-        for (const char *f :
-             {"jain_index", "min_tenant_share", "max_tenant_share"}) {
-            if (fair[f].isNumber()) {
-                const double v = fair[f].asNumber();
-                p.require(v >= 0.0 && v <= 1.0,
-                          std::string("fairness.") + f +
-                              " outside [0, 1]");
-            }
-        }
-        p.require(fair["classes"].isArray(), "fairness.classes missing");
-        if (fair["classes"].isArray()) {
-            const auto &rows = fair["classes"].asArray();
-            p.require(!rows.empty(), "fairness.classes is empty");
-            double last_class = -1.0;
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-                const Value &r = rows[i];
-                const std::string where =
-                    "fairness.classes[" + std::to_string(i) + "]";
-                checkNoExtra(p, r,
-                             {"rate_class", "weight", "tenants", "bytes",
-                              "share"},
-                             where);
-                for (const char *f : {"rate_class", "weight", "tenants",
-                                      "bytes", "share"})
-                    p.require(r[f].isNumber(),
-                              where + "." + f + " missing");
-                if (r["share"].isNumber()) {
-                    const double s = r["share"].asNumber();
-                    p.require(s >= 0.0 && s <= 1.0,
-                              where + ".share outside [0, 1]");
-                }
-                if (r["rate_class"].isNumber()) {
-                    const double c = r["rate_class"].asNumber();
-                    p.require(c > last_class,
-                              where + ".rate_class breaks strictly "
-                                      "increasing order");
-                    last_class = c;
-                }
-            }
         }
     }
 }
@@ -1101,9 +897,6 @@ const SchemaEntry schemaRegistry[] = {
     {"uldma-workload", 1, validateWorkload},
     {"uldma-schedule", 1, validateSchedule},
     {"uldma-fuzz", 1, validateFuzz},
-    {"uldma-ring", 1, validateRing},
-    {"uldma-iommu", 1, validateIommu},
-    {"uldma-cap", 1, validateCap},
     {"uldma-profile", 1, validateProfile},
     {"uldma-bench-summary", 1, validateBenchSummary},
 };
@@ -1239,132 +1032,31 @@ summarizeWorkload(const std::string &path, const Value &doc)
     return 0;
 }
 
-/** Crossover-curve table of one uldma-ring-v1 document. */
+int metricDirection(const std::string &name);
+
+/** Record-by-record table of one uldma-bench-v1 report, with the way
+ *  bench-diff gates each metric. */
 int
-summarizeRing(const std::string &path, const Value &doc)
+summarizeBench(const std::string &path, const Value &doc)
 {
-    std::printf("%s: %s, %.0f x %.0f B transfers, seed %.0f\n\n",
-                path.c_str(), doc["benchmark"].asString().c_str(),
-                doc["transfers"].asNumber(),
-                doc["transfer_bytes"].asNumber(),
+    std::printf("%s: %s, %zu record(s), seed %.0f\n", path.c_str(),
+                doc["benchmark"].asString().c_str(), doc["records"].size(),
                 doc["seed"].asNumber());
-
-    std::printf("%-14s %14s %12s %12s\n", "baseline", "per-xfer us",
-                "instr/xfer", "uncached");
-    for (const Value &b : doc["baselines"].asArray()) {
-        std::printf("%-14s %14.3f %12.1f %12.2f\n",
-                    b["protocol"].asString().c_str(),
-                    b["per_transfer_us"].asNumber(),
-                    b["instructions_per_transfer"].asNumber(),
-                    b["uncached_per_transfer"].asNumber());
+    for (const Value &r : doc["records"].asArray()) {
+        std::string config;
+        for (const auto &[k, v] : r["config"].asObject())
+            config += (config.empty() ? "  (" : ", ") + k + "=" +
+                      v.asString();
+        std::printf("\n%s%s%s\n", r["name"].asString().c_str(),
+                    config.c_str(), config.empty() ? "" : ")");
+        for (const auto &[k, v] : r["metrics"].asObject()) {
+            const int dir = metricDirection(k);
+            std::printf("  %-36s %20.12g%s\n", k.c_str(), v.asNumber(),
+                        dir < 0   ? "  gated: lower is better"
+                        : dir > 0 ? "  gated: higher is better"
+                                  : "");
+        }
     }
-
-    std::printf("\n%-7s %8s %14s %12s %12s\n", "depth", "batches",
-                "amortized us", "instr/xfer", "uncached");
-    for (const Value &r : doc["depths"].asArray()) {
-        std::printf("%-7.0f %8.0f %14.3f %12.1f %12.2f\n",
-                    r["depth"].asNumber(), r["batches"].asNumber(),
-                    r["amortized_us"].asNumber(),
-                    r["instructions_per_transfer"].asNumber(),
-                    r["uncached_per_transfer"].asNumber());
-    }
-
-    const double x = doc["crossover_depth"].asNumber();
-    if (x != 0.0) {
-        std::printf("\ncrossover: amortized ring cost strictly below "
-                    "the %s baseline from queue depth %.0f\n",
-                    doc["crossover_baseline"].asString().c_str(), x);
-    } else {
-        std::printf("\nno crossover against the %s baseline at any "
-                    "swept depth\n",
-                    doc["crossover_baseline"].asString().c_str());
-    }
-    return 0;
-}
-
-/** IOTLB sweep table of one uldma-iommu-v1 document. */
-int
-summarizeIommu(const std::string &path, const Value &doc)
-{
-    std::printf("%s: %s, %.0f x %.0f B transfers, %.0f-entry "
-                "%.0f-way IOTLB, seed %.0f\n\n",
-                path.c_str(), doc["benchmark"].asString().c_str(),
-                doc["transfers"].asNumber(),
-                doc["transfer_bytes"].asNumber(),
-                doc["iotlb_entries"].asNumber(),
-                doc["iotlb_ways"].asNumber(), doc["seed"].asNumber());
-
-    std::printf("%-10s %6s %8s %8s %8s %9s %14s %10s %7s %9s\n",
-                "pinning", "slots", "hits", "misses", "walks",
-                "hit rate", "amortized us", "xlate p50", "pins",
-                "evictions");
-    for (const Value &r : doc["points"].asArray()) {
-        std::printf("%-10s %6.0f %8.0f %8.0f %8.0f %9.3f %14.3f "
-                    "%10.3f %7.0f %9.0f\n",
-                    r["pinning"].asString().c_str(),
-                    r["slots"].asNumber(), r["hits"].asNumber(),
-                    r["misses"].asNumber(), r["walks"].asNumber(),
-                    r["hit_rate"].asNumber(),
-                    r["amortized_us"].asNumber(),
-                    r["translation_p50_us"].asNumber(),
-                    r["demand_pins"].asNumber(),
-                    r["pin_evictions"].asNumber());
-    }
-
-    std::printf("\nhot (IOTLB-resident) %.3f us/transfer, cold "
-                "(walk-bound) %.3f us/transfer: %.3f us walk "
-                "penalty\n",
-                doc["hot_us"].asNumber(), doc["cold_us"].asNumber(),
-                doc["walk_penalty_us"].asNumber());
-    return 0;
-}
-
-/** Initiation-cost and fairness tables of one uldma-cap-v1 document. */
-int
-summarizeCap(const std::string &path, const Value &doc)
-{
-    std::printf("%s: %s, seed %.0f\n\n", path.c_str(),
-                doc["benchmark"].asString().c_str(),
-                doc["seed"].asNumber());
-
-    std::printf("%-12s %10s %10s %10s %10s %12s %10s\n", "method",
-                "iters", "avg us", "min us", "max us", "instr/init",
-                "uncached");
-    for (const Value &r : doc["initiation"].asArray()) {
-        std::printf("%-12s %10.0f %10.3f %10.3f %10.3f %12.1f %10.2f\n",
-                    r["method"].asString().c_str(),
-                    r["iterations"].asNumber(), r["avg_us"].asNumber(),
-                    r["min_us"].asNumber(), r["max_us"].asNumber(),
-                    r["instructions_per_initiation"].asNumber(),
-                    r["uncached_accesses_per_initiation"].asNumber());
-    }
-    std::printf("\ncapability check premium over key-based: %.3f us "
-                "per initiation\n",
-                doc["cap_premium_us"].asNumber());
-
-    const Value &fair = doc["fairness"];
-    std::printf("\nstorm: %.0f tenant(s) x %.0f transfer(s) of %.0f B "
-                "over %.1f us (%.0f presentations, %.0f rejects)\n\n",
-                fair["tenants"].asNumber(),
-                fair["transfers_per_tenant"].asNumber(),
-                fair["transfer_bytes"].asNumber(),
-                fair["duration_us"].asNumber(),
-                fair["presentations"].asNumber(),
-                fair["rejects"].asNumber());
-    std::printf("%-6s %7s %8s %14s %9s\n", "class", "weight", "tenants",
-                "bytes", "share");
-    for (const Value &c : fair["classes"].asArray()) {
-        std::printf("%-6.0f %7.0f %8.0f %14.0f %9.4f\n",
-                    c["rate_class"].asNumber(), c["weight"].asNumber(),
-                    c["tenants"].asNumber(), c["bytes"].asNumber(),
-                    c["share"].asNumber());
-    }
-    std::printf("\nJain fairness index %.4f, per-tenant share "
-                "[%.5f, %.5f], worst queue wait %.1f us\n",
-                fair["jain_index"].asNumber(),
-                fair["min_tenant_share"].asNumber(),
-                fair["max_tenant_share"].asNumber(),
-                fair["max_starvation_us"].asNumber());
     return 0;
 }
 
@@ -1376,17 +1068,12 @@ cmdSummarize(const std::string &path)
         return 2;
     if (doc["schema"].asString() == "uldma-workload-v1")
         return summarizeWorkload(path, doc);
-    if (doc["schema"].asString() == "uldma-ring-v1")
-        return summarizeRing(path, doc);
-    if (doc["schema"].asString() == "uldma-iommu-v1")
-        return summarizeIommu(path, doc);
-    if (doc["schema"].asString() == "uldma-cap-v1")
-        return summarizeCap(path, doc);
+    if (doc["schema"].asString() == "uldma-bench-v1")
+        return summarizeBench(path, doc);
     if (doc["schema"].asString() != "uldma-spans-v1") {
         std::fprintf(stderr,
-                     "%s: not a uldma-spans-v1, uldma-workload-v1, "
-                     "uldma-ring-v1, uldma-iommu-v1 or uldma-cap-v1 "
-                     "document\n",
+                     "%s: not a uldma-spans-v1, uldma-workload-v1 or "
+                     "uldma-bench-v1 document\n",
                      path.c_str());
         return 2;
     }
@@ -1739,7 +1426,8 @@ metricDirection(const std::string &name)
         return 0;
     if (endsWith("per_sec") || contains("throughput") ||
         contains("successes") || contains("completed") || name == "ok" ||
-        name == "granted")
+        name == "granted" || endsWith("hit_rate") || name == "jain_index" ||
+        (name.rfind("min_", 0) == 0 && endsWith("_share")))
         return 1;
     if (endsWith("_us") || endsWith("_ns") || endsWith("_ticks") ||
         endsWith("_cycles") || name == "ticks" || name == "cycle_equiv" ||
@@ -1748,7 +1436,8 @@ metricDirection(const std::string &name)
         contains("deceived") || contains("attacker") ||
         contains("wrong") || contains("overhead") ||
         contains("ni_accesses") || contains("fail") ||
-        contains("reject") || contains("stall"))
+        contains("reject") || contains("stall") || endsWith("walks") ||
+        endsWith("_depth"))
         return -1;
     return 0;
 }
@@ -1797,34 +1486,6 @@ reportMissing(BenchDiffStats &st, const std::string &row,
                 39, "-");
 }
 
-/**
- * Equality of two record config blocks (flat string maps) on every key
- * but `host_cores`.  That key describes the recording host, not the
- * work, so like the host wall metrics it is never gated: a baseline
- * recorded on one core still matches a run on four.
- */
-bool
-sameConfig(const Value &a, const Value &b)
-{
-    if (!a.isObject() || !b.isObject())
-        return a.isObject() == b.isObject();
-    const auto workKeys = [](const Value &config) {
-        const auto &members = config.asObject();
-        return members.size() - members.count("host_cores");
-    };
-    if (workKeys(a) != workKeys(b))
-        return false;
-    for (const auto &[k, v] : a.asObject()) {
-        if (k == "host_cores")
-            continue;
-        const Value &other = b[k];
-        if (!v.isString() || !other.isString() ||
-            v.asString() != other.asString())
-            return false;
-    }
-    return true;
-}
-
 void
 benchDiffRecords(BenchDiffStats &st, const Value &base, const Value &cur,
                  double threshold_pct)
@@ -1861,7 +1522,7 @@ benchDiffRecords(BenchDiffStats &st, const Value &base, const Value &cur,
         }
         for (const auto &[metric, bv] : b["metrics"].asObject()) {
             const int dir = metricDirection(metric);
-            if (dir == 0 || !bv.isNumber())
+            if (dir == 0)
                 continue;
             const Value &cv = (*c)["metrics"][metric];
             if (!cv.isNumber()) {
@@ -1874,179 +1535,23 @@ benchDiffRecords(BenchDiffStats &st, const Value &base, const Value &cur,
     }
 }
 
-void
-benchDiffRing(BenchDiffStats &st, const Value &base, const Value &cur,
-              double threshold_pct)
+/**
+ * Load one bench-diff input: it must parse and pass its schema's
+ * validator, or the two reports are not comparable.
+ */
+bool
+loadComparable(const std::string &path, Value &doc)
 {
-    for (const Value &b : base["baselines"].asArray()) {
-        const std::string protocol = b["protocol"].asString();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["baselines"].asArray()) {
-            if (cand["protocol"].asString() == protocol) {
-                c = &cand;
-                break;
-            }
-        }
-        const std::string row = "baseline/" + protocol;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole baseline)");
-            continue;
-        }
-        for (const char *metric :
-             {"per_transfer_us", "instructions_per_transfer",
-              "uncached_per_transfer"}) {
-            compareMetric(st, row, metric, -1, b[metric].asNumber(),
-                          (*c)[metric].asNumber(), threshold_pct);
-        }
-    }
-
-    for (const Value &b : base["depths"].asArray()) {
-        const double depth = b["depth"].asNumber();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["depths"].asArray()) {
-            if (cand["depth"].asNumber() == depth) {
-                c = &cand;
-                break;
-            }
-        }
-        char rowbuf[32];
-        std::snprintf(rowbuf, sizeof(rowbuf), "depth/%.0f", depth);
-        const std::string row = rowbuf;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole depth)");
-            continue;
-        }
-        for (const char *metric :
-             {"amortized_us", "instructions_per_transfer",
-              "uncached_per_transfer"}) {
-            compareMetric(st, row, metric, -1, b[metric].asNumber(),
-                          (*c)[metric].asNumber(), threshold_pct);
-        }
-    }
-
-    // The crossover depth is the exhibit's headline claim: batching
-    // must keep beating the cheapest per-transfer baseline no later
-    // than it used to.  Any worsening gates, threshold-free.
-    const double x0 = base["crossover_depth"].asNumber();
-    const double x1 = cur["crossover_depth"].asNumber();
-    ++st.compared;
-    const bool bad = x0 != 0.0 && (x1 == 0.0 || x1 > x0);
-    if (bad)
-        ++st.regressions;
-    std::printf("%-30s %-30s %14.0f %14.0f %9s%s\n", "crossover",
-                "crossover_depth", x0, x1, x1 == x0 ? "+0.00%" : "moved",
-                bad ? "  REGRESSION" : "");
-}
-
-void
-benchDiffIommu(BenchDiffStats &st, const Value &base, const Value &cur,
-               double threshold_pct)
-{
-    for (const Value &b : base["points"].asArray()) {
-        const std::string pinning = b["pinning"].asString();
-        const double slots = b["slots"].asNumber();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["points"].asArray()) {
-            if (cand["pinning"].asString() == pinning &&
-                cand["slots"].asNumber() == slots) {
-                c = &cand;
-                break;
-            }
-        }
-        char rowbuf[48];
-        std::snprintf(rowbuf, sizeof(rowbuf), "%s/%.0f",
-                      pinning.c_str(), slots);
-        const std::string row = rowbuf;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole point)");
-            continue;
-        }
-        // Latency and walk count must not grow; the hit rate must not
-        // shrink (direction +1 inverts the regression test).
-        compareMetric(st, row, "amortized_us", -1,
-                      b["amortized_us"].asNumber(),
-                      (*c)["amortized_us"].asNumber(), threshold_pct);
-        compareMetric(st, row, "walks", -1, b["walks"].asNumber(),
-                      (*c)["walks"].asNumber(), threshold_pct);
-        compareMetric(st, row, "hit_rate", +1, b["hit_rate"].asNumber(),
-                      (*c)["hit_rate"].asNumber(), threshold_pct);
-    }
-
-    for (const char *metric : {"hot_us", "cold_us"}) {
-        compareMetric(st, "headline", metric, -1,
-                      base[metric].asNumber(), cur[metric].asNumber(),
-                      threshold_pct);
-    }
-}
-
-void
-benchDiffCap(BenchDiffStats &st, const Value &base, const Value &cur,
-             double threshold_pct)
-{
-    for (const Value &b : base["initiation"].asArray()) {
-        const std::string method = b["method"].asString();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["initiation"].asArray()) {
-            if (cand["method"].asString() == method) {
-                c = &cand;
-                break;
-            }
-        }
-        const std::string row = "initiation/" + method;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole method)");
-            continue;
-        }
-        for (const char *metric :
-             {"avg_us", "instructions_per_initiation",
-              "uncached_accesses_per_initiation"}) {
-            compareMetric(st, row, metric, -1, b[metric].asNumber(),
-                          (*c)[metric].asNumber(), threshold_pct);
-        }
-    }
-
-    // The headline claim: protected initiation must stay cheap...
-    compareMetric(st, "headline", "cap_premium_us", -1,
-                  base["cap_premium_us"].asNumber(),
-                  cur["cap_premium_us"].asNumber(), threshold_pct);
-
-    // ...and the arbiter must stay fair.  Jain and the weakest
-    // tenant's share gate upward (+1); starvation gates downward.
-    const Value &bf = base["fairness"];
-    const Value &cf = cur["fairness"];
-    compareMetric(st, "fairness", "jain_index", +1,
-                  bf["jain_index"].asNumber(),
-                  cf["jain_index"].asNumber(), threshold_pct);
-    compareMetric(st, "fairness", "min_tenant_share", +1,
-                  bf["min_tenant_share"].asNumber(),
-                  cf["min_tenant_share"].asNumber(), threshold_pct);
-    compareMetric(st, "fairness", "max_starvation_us", -1,
-                  bf["max_starvation_us"].asNumber(),
-                  cf["max_starvation_us"].asNumber(), threshold_pct);
-    for (const Value &b : bf["classes"].asArray()) {
-        const double rc = b["rate_class"].asNumber();
-        const Value *c = nullptr;
-        for (const Value &cand : cf["classes"].asArray()) {
-            if (cand["rate_class"].asNumber() == rc) {
-                c = &cand;
-                break;
-            }
-        }
-        char rowbuf[32];
-        std::snprintf(rowbuf, sizeof(rowbuf), "class/%.0f", rc);
-        const std::string row = rowbuf;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole class)");
-            continue;
-        }
-        // Only the lowest class gates: its share eroding is the
-        // starvation failure mode; upper classes trading share among
-        // themselves is the arbiter doing its job.
-        if (rc == 0.0) {
-            compareMetric(st, row, "share", +1, b["share"].asNumber(),
-                          (*c)["share"].asNumber(), threshold_pct);
-        }
-    }
+    if (!parseFile(path, doc))
+        return false;
+    Problems p;
+    dispatchSchema(p, doc["schema"].asString(), doc);
+    for (const std::string &what : p.list)
+        std::fprintf(stderr, "%s: %s\n", path.c_str(), what.c_str());
+    if (!p.list.empty())
+        std::fprintf(stderr, "%s: invalid document: reports are not "
+                             "comparable\n", path.c_str());
+    return p.list.empty();
 }
 
 int
@@ -2054,7 +1559,7 @@ cmdBenchDiff(const std::string &base_path, const std::string &cur_path,
              double threshold_pct)
 {
     Value base, cur;
-    if (!parseFile(base_path, base) || !parseFile(cur_path, cur))
+    if (!loadComparable(base_path, base) || !loadComparable(cur_path, cur))
         return 2;
     const std::string schema = base["schema"].asString();
     if (schema != cur["schema"].asString()) {
@@ -2064,13 +1569,19 @@ cmdBenchDiff(const std::string &base_path, const std::string &cur_path,
                      cur["schema"].asString().c_str());
         return 2;
     }
-    if (schema != "uldma-bench-v1" && schema != "uldma-ring-v1" &&
-        schema != "uldma-iommu-v1" && schema != "uldma-cap-v1") {
+    if (schema != "uldma-bench-v1") {
         std::fprintf(stderr,
-                     "%s: bench-diff compares uldma-bench-v1, "
-                     "uldma-ring-v1, uldma-iommu-v1 or uldma-cap-v1 "
-                     "documents, not '%s'\n",
+                     "%s: bench-diff compares uldma-bench-v1 documents, "
+                     "not '%s'\n",
                      base_path.c_str(), schema.c_str());
+        return 2;
+    }
+    if (base["benchmark"].asString() != cur["benchmark"].asString()) {
+        std::fprintf(stderr,
+                     "benchmark mismatch ('%s' vs '%s'): reports are not "
+                     "comparable\n",
+                     base["benchmark"].asString().c_str(),
+                     cur["benchmark"].asString().c_str());
         return 2;
     }
     if (base["seed"].asNumber() != cur["seed"].asNumber()) {
@@ -2084,18 +1595,16 @@ cmdBenchDiff(const std::string &base_path, const std::string &cur_path,
     std::printf("%-30s %-30s %14s %14s %9s\n", "record", "metric",
                 "baseline", "current", "delta");
     BenchDiffStats st;
-    if (schema == "uldma-bench-v1")
-        benchDiffRecords(st, base, cur, threshold_pct);
-    else if (schema == "uldma-iommu-v1")
-        benchDiffIommu(st, base, cur, threshold_pct);
-    else if (schema == "uldma-cap-v1")
-        benchDiffCap(st, base, cur, threshold_pct);
-    else
-        benchDiffRing(st, base, cur, threshold_pct);
+    benchDiffRecords(st, base, cur, threshold_pct);
 
     std::printf("\n%u tracked metric(s) compared, %u missing, %u "
                 "regression(s) above %.2f%% threshold\n",
                 st.compared, st.missing, st.regressions, threshold_pct);
+    if (st.compared == 0 && st.missing == 0) {
+        std::fprintf(stderr, "no tracked metric in %s: the gate would "
+                             "pass vacuously\n", base_path.c_str());
+        return 1;
+    }
     return (st.regressions > 0 || st.missing > 0) ? 1 : 0;
 }
 
@@ -2147,41 +1656,22 @@ cmdBenchPerturb(const std::string &in_path, const std::string &out_path,
     Value doc;
     if (!parseFile(in_path, doc))
         return 2;
-    const std::string schema = doc["schema"].asString();
-    if (schema != "uldma-bench-v1" && schema != "uldma-ring-v1" &&
-        schema != "uldma-iommu-v1" && schema != "uldma-cap-v1") {
+    if (doc["schema"].asString() != "uldma-bench-v1") {
         std::fprintf(stderr,
-                     "%s: bench-perturb handles uldma-bench-v1, "
-                     "uldma-ring-v1, uldma-iommu-v1 or uldma-cap-v1 "
-                     "documents, not '%s'\n",
-                     in_path.c_str(), schema.c_str());
+                     "%s: bench-perturb handles uldma-bench-v1 documents, "
+                     "not '%s'\n",
+                     in_path.c_str(), doc["schema"].asString().c_str());
         return 2;
     }
 
+    // Worsen every gated metric: lower-is-better ones grow by the
+    // factor, higher-is-better ones shrink by it.
     auto transform = [factor](const std::vector<std::string> &path,
                               double v) {
-        if (path.size() < 2)
+        if (path.size() < 2 || path[path.size() - 2] != "metrics")
             return v;
-        const std::string &parent = path[path.size() - 2];
-        const std::string &key = path.back();
-        if (parent == "metrics" && metricDirection(key) < 0)
-            return v * factor;
-        if ((parent == "baselines" || parent == "depths") &&
-            (key == "per_transfer_us" || key == "amortized_us" ||
-             key == "total_us" || key == "instructions_per_transfer" ||
-             key == "uncached_per_transfer"))
-            return v * factor;
-        if (parent == "points" &&
-            (key == "amortized_us" || key == "translation_p50_us"))
-            return v * factor;
-        if (parent == "initiation" &&
-            (key == "avg_us" || key == "min_us" || key == "max_us" ||
-             key == "instructions_per_initiation" ||
-             key == "uncached_accesses_per_initiation"))
-            return v * factor;
-        if (parent == "fairness" && key == "max_starvation_us")
-            return v * factor;
-        return v;
+        const int dir = metricDirection(path.back());
+        return dir < 0 ? v * factor : dir > 0 ? v / factor : v;
     };
 
     std::ofstream file;
@@ -2209,8 +1699,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: uldma_trace_tool summarize <spans.json | "
-                 "workload-report.json | ring-sweep.json | "
-                 "iommu-sweep.json | cap-report.json>\n"
+                 "workload-report.json | bench-report.json>\n"
                  "       uldma_trace_tool diff <before.json> <after.json>"
                  " [--threshold=<pct>]\n"
                  "       uldma_trace_tool profile <profile.json> "
