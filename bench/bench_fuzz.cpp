@@ -26,15 +26,14 @@ struct CampaignSpec
 {
     const char *name;
     const char *protocol; ///< "" = swarm
-    bool weakRing = false;
-    bool weakCap = false;
+    Weaken weaken = Weaken::None;
     std::uint64_t budget = 250;
 };
 
 constexpr CampaignSpec kCampaigns[] = {
     {"fuzz/repeated", "repeated"},
-    {"fuzz/ring_weakened", "ring", true, false},
-    {"fuzz/cap_weakened", "cap", false, true},
+    {"fuzz/ring_weakened", "ring", Weaken::Ring},
+    {"fuzz/cap_weakened", "cap", Weaken::Cap},
     {"fuzz/swarm", ""},
 };
 
@@ -51,8 +50,7 @@ campaignConfig(const CampaignSpec &spec, std::uint64_t budget)
     }
     config.runner.method = *protocolMethod(spec.protocol);
     config.runner.faults = true;
-    config.runner.weakRing = spec.weakRing;
-    config.runner.weakCap = spec.weakCap;
+    config.runner.weaken = spec.weaken;
     return config;
 }
 

@@ -34,17 +34,18 @@ fnv1a(const std::string &s)
 }
 
 /** Stable identity of a scenario config: every knob that changes what
- *  a schedule means. */
+ *  a schedule means.  It salts every coverage edge, so its bit layout
+ *  is part of the uldma-fuzz-v1 byte-identity contract. */
 std::uint64_t
 configSignature(const RunnerConfig &c)
 {
     std::uint64_t bits = static_cast<std::uint64_t>(c.method);
     bits = (bits << 1) | (c.faults ? 1 : 0);
-    bits = (bits << 1) | (c.weakRecognizer ? 1 : 0);
-    bits = (bits << 1) | (c.weakRing ? 1 : 0);
+    bits = (bits << 1) | (c.weaken == Weaken::Recognizer ? 1 : 0);
+    bits = (bits << 1) | (c.weaken == Weaken::Ring ? 1 : 0);
     bits = (bits << 1) | (c.useIommu ? 1 : 0);
-    bits = (bits << 1) | (c.weakIommu ? 1 : 0);
-    bits = (bits << 1) | (c.weakCap ? 1 : 0);
+    bits = (bits << 1) | (c.weaken == Weaken::Iommu ? 1 : 0);
+    bits = (bits << 1) | (c.weaken == Weaken::Cap ? 1 : 0);
     return mix64(bits);
 }
 
@@ -190,7 +191,7 @@ struct Fuzzer
         ++f.shrinkExecs;
         f.preemptAfter = std::move(pts);
         f.outcome = outcomeOf(r);
-        f.expected = configWeakened(st.config);
+        f.expected = st.config.weaken != Weaken::None;
         report.shrinkExecs += f.shrinkExecs;
         if (f.expected)
             ++report.expectedFindings;
@@ -210,22 +211,9 @@ struct Fuzzer
         if (c.method == DmaMethod::Ring)
             c.useIommu = rng.chance(0.5);
         if (rng.chance(0.5)) {
-            // One fault-injection flag per weakened config, drawn
-            // from the flags the protocol supports.
-            std::vector<int> weakenable{0}; // 0 = weakRecognizer
-            if (c.method == DmaMethod::Ring) {
-                weakenable.push_back(1); // weakRing
-                if (c.useIommu)
-                    weakenable.push_back(2); // weakIommu
-            }
-            if (c.method == DmaMethod::Cap)
-                weakenable.push_back(3); // weakCap
-            switch (weakenable[rng.below(weakenable.size())]) {
-              case 0: c.weakRecognizer = true; break;
-              case 1: c.weakRing = true; break;
-              case 2: c.weakIommu = true; break;
-              case 3: c.weakCap = true; break;
-            }
+            // Half the draws weaken one protection the config supports.
+            const std::vector<Weaken> options = supportedWeaknesses(c);
+            c.weaken = options[rng.below(options.size())];
         }
         return c;
     }
@@ -311,26 +299,7 @@ struct Fuzzer
     }
 };
 
-void
-writeConfigMembers(json::Writer &w, const RunnerConfig &c)
-{
-    w.member("protocol", protocolToken(c.method));
-    w.member("faults", c.faults);
-    w.member("weakened_recognizer", c.weakRecognizer);
-    w.member("weakened_ring", c.weakRing);
-    w.member("iommu", c.useIommu);
-    w.member("weakened_iommu", c.weakIommu);
-    w.member("weakened_cap", c.weakCap);
-}
-
 } // namespace
-
-bool
-configWeakened(const RunnerConfig &config)
-{
-    return config.weakRecognizer || config.weakRing ||
-           config.weakIommu || config.weakCap;
-}
 
 FuzzReport
 fuzz(const FuzzConfig &config)
@@ -341,17 +310,7 @@ fuzz(const FuzzConfig &config)
 Schedule
 findingSchedule(const FuzzFinding &f)
 {
-    Schedule s;
-    s.protocol = protocolToken(f.config.method);
-    s.faults = f.config.faults;
-    s.weakRecognizer = f.config.weakRecognizer;
-    s.weakRing = f.config.weakRing;
-    s.iommu = f.config.useIommu;
-    s.weakIommu = f.config.weakIommu;
-    s.weakCap = f.config.weakCap;
-    s.boundarySpace = f.boundarySpace;
-    s.preemptAfter = f.preemptAfter;
-    return s;
+    return Schedule{f.config, f.boundarySpace, f.preemptAfter};
 }
 
 void

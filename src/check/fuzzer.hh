@@ -15,7 +15,7 @@
  * bytes".
  *
  * Swarm mode re-draws the whole scenario configuration (protocol and
- * `--weaken-*` fault flags) every batch, so one soak exercises the
+ * `--weaken` fault injection) every batch, so one soak exercises the
  * protocol mix instead of one hand-picked config.  Findings are
  * deduplicated per (config, invariant set), minimised with the
  * explorer's greedy shrinker, and re-run so the recorded outcome is
@@ -44,7 +44,7 @@ struct FuzzConfig
     /** Scenario under test; ignored (re-drawn per batch) in swarm
      *  mode. */
     RunnerConfig runner;
-    /** Re-draw protocol + fault flags every batch. */
+    /** Re-draw protocol + fault injection every batch. */
     bool swarm = false;
     /** PRNG seed: same seed, same config — same report bytes. */
     std::uint64_t seed = 0;
@@ -73,8 +73,8 @@ struct FuzzFinding
     std::uint64_t foundAtExec = 0;
     /** Extra executions spent shrinking + re-running. */
     std::uint64_t shrinkExecs = 0;
-    /** True when the config carries a fault-injection flag — the
-     *  fuzzer proving its teeth, not a real bug. */
+    /** True when the config weakens the engine — the fuzzer proving
+     *  its teeth, not a real bug. */
     bool expected = false;
 };
 
@@ -117,9 +117,6 @@ FuzzReport fuzz(const FuzzConfig &config);
 
 /** Convert a finding into a repro Schedule `--replay` accepts. */
 Schedule findingSchedule(const FuzzFinding &finding);
-
-/** True when @p config carries any fault-injection flag. */
-bool configWeakened(const RunnerConfig &config);
 
 /**
  * Serialise a report as one uldma-fuzz-v1 document (deterministic:

@@ -9,6 +9,7 @@
 #include "cpu/program.hh"
 #include "os/scheduler.hh"
 #include "sim/ticks.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 #include "vm/layout.hh"
 
@@ -21,21 +22,6 @@ constexpr Addr payloadSize = 192;
 constexpr Addr burstBytes = 48;
 /// Byte pattern of the victim's source buffer.
 constexpr std::uint8_t pattern = 0xD5;
-
-/** 64-bit FNV-1a accumulator (matches DmaEngine::stateHash style). */
-struct Fnv1a
-{
-    std::uint64_t h = 14695981039346656037ULL;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-};
 
 /** Micro-ops of one adversary gap burst for @p method. */
 std::uint64_t
@@ -78,28 +64,19 @@ runSchedule(const RunnerConfig &config,
     // small DRAM keeps construction cheap (4 data pages are used).
     mconfig.node.memBytes = 2 * 1024 * 1024;
     configureNode(mconfig.node, method);
-    mconfig.node.dma.weakRecognizer = config.weakRecognizer;
-    mconfig.node.dma.weakRing = config.weakRing;
+    mconfig.node.dma.weaken = config.weaken;
 
-    // IOMMU mode (weakIommu implies it): descriptors carry virtual
-    // addresses and the engine translates them.  A deliberately tiny
-    // IOTLB keeps walks on the explored paths; aborting faults keep
-    // every schedule finite.
-    const bool iommuOn = config.useIommu || config.weakIommu;
-    if (iommuOn) {
+    // IOMMU mode: descriptors carry virtual addresses and the engine
+    // translates them.  A deliberately tiny IOTLB keeps walks on the
+    // explored paths; aborting faults keep every schedule finite.
+    if (config.useIommu) {
         mconfig.node.dma.iommu.enabled = true;
         mconfig.node.dma.iommu.iotlbEntries = 8;
         mconfig.node.dma.iommu.iotlbWays = 2;
         mconfig.node.dma.iommu.faultPolicy = IommuFaultPolicy::Abort;
         mconfig.node.dma.iommu.pinPolicy = PinPolicy::OnMap;
-        mconfig.node.dma.weakIommu = config.weakIommu;
     }
-
-    // Capability mode: configureNode already enabled the table; the
-    // weakened engine starts presentations without consulting it.
     const bool capOn = method == DmaMethod::Cap;
-    if (capOn)
-        mconfig.node.dma.weakCap = config.weakCap;
 
     const std::uint64_t gap = burstLength(method, config.faults);
     PreemptionScheduler *sched = nullptr;
@@ -134,7 +111,7 @@ runSchedule(const RunnerConfig &config,
     const Addr adst = kernel.allocate(adversary, pageSize, Rights::ReadWrite);
     kernel.createShadowMappings(adversary, asrc, pageSize);
     kernel.createShadowMappings(adversary, adst, pageSize);
-    if (method == DmaMethod::Ring && iommuOn) {
+    if (method == DmaMethod::Ring && config.useIommu) {
         // IOMMU mode: descriptors carry virtual addresses, so the I/O
         // page table (not the kernel frame table) confines them — map
         // each process's own buffers into its own context, pinned.
@@ -245,11 +222,11 @@ runSchedule(const RunnerConfig &config,
             // In IOMMU mode the same pages are what got mapped into
             // this context's I/O page table (setupRing mapped the ring
             // regions, iommuMapRange above mapped the buffers).
-            if (iommuOn)
+            if (config.useIommu)
                 art.iommuFrames[*g.keyContext] = spans;
         }
     }
-    art.iommuEnabled = iommuOn;
+    art.iommuEnabled = config.useIommu;
 
     // Capability oracle: who owns each slot, which slots were revoked,
     // and the frame spans the kernel granted — independent copies of
@@ -293,7 +270,7 @@ runSchedule(const RunnerConfig &config,
         // ring that names the *victim's* source frame, arm it (ctrl
         // last) and ring the doorbell with the adversary's own valid
         // key.  The engine's per-context frame check must reject it;
-        // with weakRing injected the theft goes through and the
+        // with Weaken::Ring injected the theft goes through and the
         // ring-isolation invariant catches it.
         const DmaGrant &ag = adversary.dmaGrant();
         ULDMA_ASSERT(ag.ringConfigured && ag.keyContext.has_value(),

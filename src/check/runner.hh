@@ -23,33 +23,6 @@
 
 namespace uldma::check {
 
-/** Scenario knobs shared by every run of one exploration. */
-struct RunnerConfig
-{
-    DmaMethod method = DmaMethod::Repeated5;
-    /** Adversary issues protocol-specific shadow traffic in each gap
-     *  (forged keys, dangling stores, competing sequences) instead of
-     *  benign compute. */
-    bool faults = false;
-    /** Engine fault injection: weakened §3.3 recognizer. */
-    bool weakRecognizer = false;
-    /** Engine fault injection: ring frame check disabled. */
-    bool weakRing = false;
-    /** Route ring descriptors through the IOMMU: descriptors carry
-     *  virtual addresses, the engine translates via its I/O page table
-     *  (docs/IOMMU.md). */
-    bool useIommu = false;
-    /** Engine fault injection: on a translation fault the engine uses
-     *  the raw untranslated address instead of aborting (implies
-     *  useIommu). */
-    bool weakIommu = false;
-    /** Engine fault injection: capability presentations start without
-     *  consulting the table — forged secrets, revoked generations and
-     *  span escapes all go through (docs/CAPABILITIES.md; requires
-     *  method == DmaMethod::Cap). */
-    bool weakCap = false;
-};
-
 /** Everything one run produced. */
 struct RunResult
 {

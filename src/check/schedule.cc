@@ -1,5 +1,6 @@
 #include "check/schedule.hh"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -39,6 +40,52 @@ protocolToken(DmaMethod method)
     }
 }
 
+const char *
+weakenToken(Weaken weaken)
+{
+    switch (weaken) {
+      case Weaken::None: return "none";
+      case Weaken::Recognizer: return "recognizer";
+      case Weaken::Ring: return "ring";
+      case Weaken::Iommu: return "iommu";
+      case Weaken::Cap: return "cap";
+    }
+    return "?";
+}
+
+std::optional<Weaken>
+weakenFromToken(const std::string &token)
+{
+    for (Weaken w : {Weaken::None, Weaken::Recognizer, Weaken::Ring,
+                     Weaken::Iommu, Weaken::Cap}) {
+        if (token == weakenToken(w))
+            return w;
+    }
+    return std::nullopt;
+}
+
+std::vector<Weaken>
+supportedWeaknesses(const RunnerConfig &config)
+{
+    std::vector<Weaken> out{Weaken::Recognizer};
+    if (config.method == DmaMethod::Ring) {
+        out.push_back(Weaken::Ring);
+        if (config.useIommu)
+            out.push_back(Weaken::Iommu);
+    }
+    if (config.method == DmaMethod::Cap)
+        out.push_back(Weaken::Cap);
+    return out;
+}
+
+bool
+weakenSupported(const RunnerConfig &config)
+{
+    const std::vector<Weaken> ok = supportedWeaknesses(config);
+    return config.weaken == Weaken::None ||
+           std::find(ok.begin(), ok.end(), config.weaken) != ok.end();
+}
+
 std::string
 toHex(std::uint64_t v)
 {
@@ -71,19 +118,25 @@ parseHex(const std::string &s, std::uint64_t &v)
 }
 
 void
+writeConfigMembers(json::Writer &w, const RunnerConfig &config)
+{
+    w.member("protocol", protocolToken(config.method));
+    w.member("faults", config.faults);
+    w.member("weakened_recognizer", config.weaken == Weaken::Recognizer);
+    w.member("weakened_ring", config.weaken == Weaken::Ring);
+    w.member("iommu", config.useIommu);
+    w.member("weakened_iommu", config.weaken == Weaken::Iommu);
+    w.member("weakened_cap", config.weaken == Weaken::Cap);
+}
+
+void
 writeScheduleJson(std::ostream &os, const Schedule &schedule,
                   const Outcome &outcome)
 {
     json::Writer w(os, /*pretty=*/true);
     w.beginObject();
     w.member("schema", scheduleSchema);
-    w.member("protocol", schedule.protocol);
-    w.member("faults", schedule.faults);
-    w.member("weakened_recognizer", schedule.weakRecognizer);
-    w.member("weakened_ring", schedule.weakRing);
-    w.member("iommu", schedule.iommu);
-    w.member("weakened_iommu", schedule.weakIommu);
-    w.member("weakened_cap", schedule.weakCap);
+    writeConfigMembers(w, schedule.config);
     w.member("boundary_space", schedule.boundarySpace);
     w.key("preempt_after");
     w.beginArray();
@@ -123,6 +176,46 @@ fail(std::string *error, const std::string &msg)
 } // namespace
 
 bool
+readConfigMembers(const json::Value &v, RunnerConfig &config,
+                  std::string *error)
+{
+    if (!v["protocol"].isString())
+        return fail(error, "protocol must be a string");
+    if (!protocolMethod(v["protocol"].asString()))
+        return fail(error,
+                    "unknown protocol '" + v["protocol"].asString() + "'");
+    if (!v["faults"].isBool() || !v["weakened_recognizer"].isBool())
+        return fail(error, "faults/weakened_recognizer must be booleans");
+    for (const char *key :
+         {"weakened_ring", "iommu", "weakened_iommu", "weakened_cap"}) {
+        if (!v[key].isNull() && !v[key].isBool())
+            return fail(error, std::string(key) + " must be a boolean");
+    }
+    config.method = *protocolMethod(v["protocol"].asString());
+    config.faults = v["faults"].asBool();
+    config.useIommu = v["iommu"].isBool() && v["iommu"].asBool();
+    config.weaken = Weaken::None;
+    for (Weaken w :
+         {Weaken::Recognizer, Weaken::Ring, Weaken::Iommu, Weaken::Cap}) {
+        const json::Value &flag =
+            v[std::string("weakened_") + weakenToken(w)];
+        if (!flag.isBool() || !flag.asBool())
+            continue;
+        if (config.weaken != Weaken::None)
+            return fail(error, "more than one weakened_* member is true");
+        config.weaken = w;
+    }
+    if (!weakenSupported(config)) {
+        return fail(error, std::string("weakened_") +
+                               weakenToken(config.weaken) +
+                               " does not apply to protocol '" +
+                               protocolToken(config.method) + "'" +
+                               (config.useIommu ? " with iommu" : ""));
+    }
+    return true;
+}
+
+bool
 parseScheduleJson(const std::string &text, Schedule &schedule,
                   Outcome &outcome, std::string *error)
 {
@@ -137,45 +230,13 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
         return fail(error, "schema is not '" +
                                std::string(scheduleSchema) + "'");
     }
-    if (!doc["protocol"].isString() ||
-        !protocolMethod(doc["protocol"].asString())) {
-        return fail(error, "unknown protocol");
-    }
-    if (!doc["faults"].isBool() || !doc["weakened_recognizer"].isBool())
-        return fail(error, "faults/weakened_recognizer must be booleans");
-    // weakened_ring is optional (schedules predating the descriptor
-    // ring omit it); when present it must be a boolean.
-    if (!doc["weakened_ring"].isNull() && !doc["weakened_ring"].isBool())
-        return fail(error, "weakened_ring must be a boolean");
-    // iommu/weakened_iommu likewise postdate the original schema and
-    // parse as false when absent.
-    if (!doc["iommu"].isNull() && !doc["iommu"].isBool())
-        return fail(error, "iommu must be a boolean");
-    if (!doc["weakened_iommu"].isNull() && !doc["weakened_iommu"].isBool())
-        return fail(error, "weakened_iommu must be a boolean");
-    // weakened_cap postdates the original schema too.
-    if (!doc["weakened_cap"].isNull() && !doc["weakened_cap"].isBool())
-        return fail(error, "weakened_cap must be a boolean");
+    if (!readConfigMembers(doc, schedule.config, error))
+        return false;
     if (!doc["boundary_space"].isNumber())
         return fail(error, "boundary_space must be a number");
     if (!doc["preempt_after"].isArray())
         return fail(error, "preempt_after must be an array");
 
-    schedule.protocol = doc["protocol"].asString();
-    schedule.faults = doc["faults"].asBool();
-    schedule.weakRecognizer = doc["weakened_recognizer"].asBool();
-    schedule.weakRing = doc["weakened_ring"].isBool()
-                            ? doc["weakened_ring"].asBool()
-                            : false;
-    schedule.iommu = doc["iommu"].isBool() ? doc["iommu"].asBool() : false;
-    schedule.weakIommu = doc["weakened_iommu"].isBool()
-                             ? doc["weakened_iommu"].asBool()
-                             : false;
-    if (schedule.weakIommu)
-        schedule.iommu = true;
-    schedule.weakCap = doc["weakened_cap"].isBool()
-                           ? doc["weakened_cap"].asBool()
-                           : false;
     schedule.boundarySpace =
         static_cast<std::uint64_t>(doc["boundary_space"].asNumber());
     schedule.preemptAfter.clear();

@@ -4,9 +4,9 @@
  *
  * A schedule is the complete recipe for one deterministic run of the
  * model checker's two-process scenario: which protocol, whether the
- * adversary injects shadow traffic, whether the recognizer is
- * weakened, and the exact victim-instruction boundaries at which the
- * scheduler preempts.  Together with the recorded outcome it is a
+ * adversary injects shadow traffic, which engine protection (if any)
+ * is weakened, and the exact victim-instruction boundaries at which
+ * the scheduler preempts.  Together with the recorded outcome it is a
  * self-contained counterexample (or witness) that
  * `uldma_check --replay` re-executes byte-identically.
  */
@@ -22,6 +22,12 @@
 
 #include "check/invariants.hh"
 #include "core/methods.hh"
+#include "dma/dma_params.hh"
+
+namespace uldma::json {
+class Value;
+class Writer;
+} // namespace uldma::json
 
 namespace uldma::check {
 
@@ -40,28 +46,61 @@ std::optional<DmaMethod> protocolMethod(const std::string &token);
 /** Inverse of protocolMethod for the checked methods. */
 const char *protocolToken(DmaMethod method);
 
+/** Scenario knobs shared by every run of one exploration. */
+struct RunnerConfig
+{
+    DmaMethod method = DmaMethod::Repeated5;
+    /** Adversary issues protocol-specific shadow traffic in each gap
+     *  (forged keys, dangling stores, competing sequences) instead of
+     *  benign compute. */
+    bool faults = false;
+    /** Route ring descriptors through the IOMMU: descriptors carry
+     *  virtual addresses, the engine translates via its I/O page table
+     *  (docs/IOMMU.md). */
+    bool useIommu = false;
+    /** Engine fault injection; only what supportedWeaknesses() offers
+     *  for this config is meaningful. */
+    Weaken weaken = Weaken::None;
+};
+
+/** CLI token of a weakness; its schedule/fuzz-report key is
+ *  "weakened_<token>". */
+const char *weakenToken(Weaken weaken);
+
+/** Map a weakness token to its Weaken ("none" included; nullopt =
+ *  unknown token). */
+std::optional<Weaken> weakenFromToken(const std::string &token);
+
+/**
+ * The weaknesses @p config's scenario supports, in swarm draw order:
+ * the recognizer always, then the ring frame check (ring protocol),
+ * the IOMMU translation (ring with useIommu), the capability check
+ * (cap protocol).
+ */
+std::vector<Weaken> supportedWeaknesses(const RunnerConfig &config);
+
+/** True when @p config's weakness is None or supported. */
+bool weakenSupported(const RunnerConfig &config);
+
+/** Write the scenario-config members (protocol, faults, the four
+ *  weakened_* flags and iommu) shared by uldma-schedule-v1 documents
+ *  and uldma-fuzz-v1 rows. */
+void writeConfigMembers(json::Writer &w, const RunnerConfig &config);
+
+/**
+ * Read what writeConfigMembers wrote.  weakened_ring, iommu,
+ * weakened_iommu and weakened_cap postdate the original schema and
+ * read as false when absent.  Fails (with @p error set) on a wrong
+ * type, an unknown protocol, more than one weakened_* true, or a
+ * weakness the config does not support.
+ */
+bool readConfigMembers(const json::Value &v, RunnerConfig &config,
+                       std::string *error);
+
 /** One deterministic run of the checker scenario. */
 struct Schedule
 {
-    std::string protocol;           ///< one of checkedProtocols
-    bool faults = false;            ///< adversary shadow traffic in gaps
-    bool weakRecognizer = false;    ///< test-only fault injection
-    /** Test-only fault injection: disable the engine's ring frame
-     *  check (absent in old schedule files, parsed as false). */
-    bool weakRing = false;
-    /** Ring descriptors carry virtual addresses translated by the
-     *  engine's IOMMU (absent in old schedule files, parsed as
-     *  false; docs/IOMMU.md). */
-    bool iommu = false;
-    /** Test-only fault injection: the engine uses the raw untranslated
-     *  address on an IOMMU fault (absent in old files, parsed as
-     *  false; implies iommu). */
-    bool weakIommu = false;
-    /** Test-only fault injection: capability presentations start
-     *  without consulting the table (absent in old files, parsed as
-     *  false; only meaningful with protocol "cap";
-     *  docs/CAPABILITIES.md). */
-    bool weakCap = false;
+    RunnerConfig config;
     /** Number of distinct preemption positions (0..initiation length). */
     std::uint64_t boundarySpace = 0;
     /** Non-decreasing absolute victim instruction counts; a repeated

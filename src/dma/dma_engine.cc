@@ -1,12 +1,14 @@
 #include "dma/dma_engine.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "mem/physical_memory.hh"
 #include "prof/profiler.hh"
 #include "sim/event.hh"
 #include "sim/ticks.hh"
 #include "sim/trace.hh"
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace uldma {
@@ -191,6 +193,15 @@ DmaEngine::access(Packet &pkt)
     return xfer_.clockDomain().cyclesToTicks(cycles);
 }
 
+void
+DmaEngine::rejectSpan(const char *protocol, span::Outcome why)
+{
+    if (!span::captureOn())
+        return;
+    auto &t = span::tracker();
+    t.reject(t.open(name_, protocol, xfer_.now()), xfer_.now(), why);
+}
+
 // ---------------------------------------------------------------------
 // Kernel register block.
 // ---------------------------------------------------------------------
@@ -310,42 +321,30 @@ DmaEngine::accessKernelRegs(Packet &pkt, Addr offset)
             iommuIovaStage_ = pkt.data;
             break;
           case kregs::iommuMapEntry:
-            // Commit iommuIova -> frame for the selected context.  The
+          case kregs::iommuUnmap:
+          case kregs::iommuPin: {
+            // Commands on the selected context's I/O page table.  The
             // kernel reads iommuStatus back to learn about pin-budget
             // exhaustion (docs/IOMMU.md).
-            if (iommu_ && iommuCtxSelect_ < contexts_.size()) {
+            bool ok = iommu_ && iommuCtxSelect_ < contexts_.size();
+            const auto ctx = static_cast<unsigned>(iommuCtxSelect_);
+            if (ok && offset == kregs::iommuMapEntry) {
                 Rights rights = Rights::None;
                 if (pkt.data & iommumap::read)
                     rights = rights | Rights::Read;
                 if (pkt.data & iommumap::write)
                     rights = rights | Rights::Write;
-                const bool ok = iommu_->mapPage(
-                    static_cast<unsigned>(iommuCtxSelect_),
-                    iommuIovaStage_, pkt.data & ~iommumap::flagMask,
-                    rights, pkt.data & iommumap::pin);
-                iommuLastStatus_ = ok ? dmastatus::ok : dmastatus::failure;
-            } else {
-                iommuLastStatus_ = dmastatus::failure;
+                ok = iommu_->mapPage(ctx, iommuIovaStage_,
+                                     pkt.data & ~iommumap::flagMask, rights,
+                                     pkt.data & iommumap::pin);
+            } else if (ok && offset == kregs::iommuPin) {
+                ok = iommu_->pinPage(ctx, pkt.data);
+            } else if (ok) {
+                iommu_->unmapPage(ctx, pkt.data);
             }
+            iommuLastStatus_ = dmastatus::of(ok);
             break;
-          case kregs::iommuUnmap:
-            if (iommu_ && iommuCtxSelect_ < contexts_.size()) {
-                iommu_->unmapPage(static_cast<unsigned>(iommuCtxSelect_),
-                                  pkt.data);
-                iommuLastStatus_ = dmastatus::ok;
-            } else {
-                iommuLastStatus_ = dmastatus::failure;
-            }
-            break;
-          case kregs::iommuPin:
-            if (iommu_ && iommuCtxSelect_ < contexts_.size()) {
-                const bool ok = iommu_->pinPage(
-                    static_cast<unsigned>(iommuCtxSelect_), pkt.data);
-                iommuLastStatus_ = ok ? dmastatus::ok : dmastatus::failure;
-            } else {
-                iommuLastStatus_ = dmastatus::failure;
-            }
-            break;
+          }
           case kregs::capSlotSelect:
           case kregs::capSpanBase:
           case kregs::capSpanLimit:
@@ -530,7 +529,7 @@ DmaEngine::accessShadow(Packet &pkt)
       case EngineMode::Repeated3:
       case EngineMode::Repeated4:
       case EngineMode::Repeated5:
-        shadowRepeated(pkt, target, ctx);
+        fsmStepAccess(pkt, target, ctx);
         break;
       case EngineMode::MappedOut:
         shadowMappedOut(pkt, target);
@@ -559,7 +558,11 @@ DmaEngine::shadowPair(Packet &pkt, Addr target, unsigned ctx)
         return;
     }
 
-    // LOAD status FROM shadow(vsource): complete the pair.
+    // LOAD status FROM shadow(vsource): complete the pair.  FLASH
+    // refuses a latch from a process that has since been switched out
+    // rather than mix arguments (paper §2.6).
+    const bool ok = latch.valid &&
+                    !(params_.flashTagCheck && latch.osTag != osTag_);
     span::SpanId sid = span::invalidSpan;
     if (span::captureOn()) {
         sid = latch.valid ? latch.span
@@ -567,29 +570,18 @@ DmaEngine::shadowPair(Packet &pkt, Addr target, unsigned ctx)
                                                  toString(params_.mode),
                                                  xfer_.now());
     }
-
-    bool ok = latch.valid;
-    if (ok && params_.flashTagCheck && latch.osTag != osTag_) {
-        // FLASH: the latch came from a process that has since been
-        // switched out; refuse to mix arguments (paper §2.6).
-        ok = false;
-    }
-
+    latch.valid = false;
+    latch.span = span::invalidSpan;
     if (!ok) {
-        latch.valid = false;
-        latch.span = span::invalidSpan;
         ++rejected_;
         if (span::captureOn())
             span::tracker().reject(sid, xfer_.now());
         pkt.data = dmastatus::failure;
         return;
     }
-
     const TransferId id = tryStartUser(target, latch.dst, latch.size, ctx,
                                        {latch.contributor, pkt.srcPid}, sid);
-    latch.valid = false;
-    latch.span = span::invalidSpan;
-    pkt.data = id == invalidTransfer ? dmastatus::failure : dmastatus::ok;
+    pkt.data = dmastatus::of(id != invalidTransfer);
 }
 
 void
@@ -599,11 +591,7 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
         // The key-based protocol passes both addresses with stores
         // (paper §3.1); a shadow load is undefined and rejected.
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        rejectSpan(toString(params_.mode));
         pkt.data = dmastatus::failure;
         return;
     }
@@ -611,11 +599,7 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
     const unsigned ctx = keyfield::ctxOf(pkt.data);
     if (ctx >= contexts_.size()) {
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        rejectSpan(toString(params_.mode));
         return;
     }
 
@@ -626,11 +610,7 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
         // "only if the provided key matches the key stored by the
         // operating system in the DMA engine" (paper §3.1).
         ++keyMismatch_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now(), span::Outcome::KeyMismatch);
-        }
+        rejectSpan(toString(params_.mode), span::Outcome::KeyMismatch);
         return;
     }
 
@@ -661,6 +641,36 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
 // Repeated passing of arguments (paper §3.3).
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** One access of a §3.3 sequence: its kind, and which latched address
+ *  (if any) it must repeat under figure 7's same-address rule. */
+struct FsmStep
+{
+    bool store;
+    enum Repeat : std::uint8_t { None, Src, Dst } repeat;
+};
+
+constexpr FsmStep ld{false, FsmStep::None}, st{true, FsmStep::None},
+    stDst{true, FsmStep::Dst}, ldSrc{false, FsmStep::Src},
+    ldDst{false, FsmStep::Dst};
+constexpr FsmStep repeated3[] = {ld, st, ldSrc};               // figure 5
+constexpr FsmStep repeated4[] = {st, ld, stDst, ldSrc};        // figure 6
+constexpr FsmStep repeated5[] = {st, ld, stDst, ldSrc, ldDst}; // figure 7
+
+std::span<const FsmStep>
+fsmSequence(EngineMode mode)
+{
+    switch (mode) {
+      case EngineMode::Repeated3: return repeated3;
+      case EngineMode::Repeated4: return repeated4;
+      case EngineMode::Repeated5: return repeated5;
+      default: ULDMA_PANIC("fsmStepAccess in non-repeated mode");
+    }
+}
+
+} // namespace
+
 void
 DmaEngine::fsmReset()
 {
@@ -675,219 +685,60 @@ DmaEngine::fsmReset()
 }
 
 void
-DmaEngine::shadowRepeated(Packet &pkt, Addr target, unsigned ctx)
-{
-    fsmStepAccess(pkt, target, ctx);
-}
-
-void
 DmaEngine::fsmStepAccess(Packet &pkt, Addr target, unsigned ctx)
 {
+    const std::span<const FsmStep> seq = fsmSequence(params_.mode);
     const bool is_store = pkt.isWrite();
-    // Test-only fault injection (see DmaEngineParams::weakRecognizer):
-    // skip the same-address checks of figure 7 and adopt the new
-    // address instead of resetting.
-    const bool weak = params_.weakRecognizer;
-
-    // Two attempts: if the access mismatches mid-sequence, the engine
-    // resets and the same access may begin a new sequence (this is what
-    // makes the figure-5 interleaving possible against Repeated3).
-    for (int attempt = 0; attempt < 2; ++attempt) {
-        bool matched = false;
-        // A sequence belongs to one shadow CONTEXT_ID: an access that
-        // arrives through a different context window never continues
-        // it, even when its stripped target address lines up.
-        const bool ctx_ok = fsmStep_ == 0 || ctx == fsmCtx_;
-
-        switch (params_.mode) {
-          case EngineMode::Repeated3:
-            // LOAD(src) STORE(dst) LOAD(src)
-            switch (fsmStep_) {
-              case 0:
-                if (!is_store) {
-                    fsmLoadAddr_ = target;
-                    fsmCtx_ = ctx;
-                    fsmContributors_.assign({pkt.srcPid});
-                    if (span::captureOn()) {
-                        fsmSpan_ = span::tracker().open(
-                            name_, toString(params_.mode), xfer_.now());
-                    }
-                    fsmStep_ = 1;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 1:
-                if (ctx_ok && is_store) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 2;
-                    matched = true;
-                }
-                break;
-              case 2:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmLoadAddr_)) {
-                    fsmContributors_.push_back(pkt.srcPid);
-                    const TransferId id =
-                        tryStartUser(fsmLoadAddr_, fsmStoreAddr_, fsmSize_,
-                                     0, fsmContributors_, fsmSpan_);
-                    pkt.data = id == invalidTransfer ? dmastatus::failure
-                                                     : dmastatus::ok;
-                    fsmStep_ = 0;
-                    fsmContributors_.clear();
-                    fsmSpan_ = span::invalidSpan;
-                    matched = true;
-                }
-                break;
-            }
-            break;
-
-          case EngineMode::Repeated4:
-            // STORE(dst) LOAD(src) STORE(dst) LOAD(src)
-            switch (fsmStep_) {
-              case 0:
-                if (is_store) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmCtx_ = ctx;
-                    fsmContributors_.assign({pkt.srcPid});
-                    if (span::captureOn()) {
-                        fsmSpan_ = span::tracker().open(
-                            name_, toString(params_.mode), xfer_.now());
-                    }
-                    fsmStep_ = 1;
-                    matched = true;
-                }
-                break;
-              case 1:
-                if (ctx_ok && !is_store) {
-                    fsmLoadAddr_ = target;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 2;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 2:
-                if (ctx_ok && is_store &&
-                    (weak || target == fsmStoreAddr_)) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 3;
-                    matched = true;
-                }
-                break;
-              case 3:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmLoadAddr_)) {
-                    fsmContributors_.push_back(pkt.srcPid);
-                    const TransferId id =
-                        tryStartUser(fsmLoadAddr_, fsmStoreAddr_, fsmSize_,
-                                     0, fsmContributors_, fsmSpan_);
-                    pkt.data = id == invalidTransfer ? dmastatus::failure
-                                                     : dmastatus::ok;
-                    fsmStep_ = 0;
-                    fsmContributors_.clear();
-                    fsmSpan_ = span::invalidSpan;
-                    matched = true;
-                }
-                break;
-            }
-            break;
-
-          case EngineMode::Repeated5:
-            // STORE(dst) LOAD(src) STORE(dst) LOAD(src) LOAD(dst)
-            // (figure 7: addresses of 1,3,5 equal; of 2,4 equal)
-            switch (fsmStep_) {
-              case 0:
-                if (is_store) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmCtx_ = ctx;
-                    fsmContributors_.assign({pkt.srcPid});
-                    if (span::captureOn()) {
-                        fsmSpan_ = span::tracker().open(
-                            name_, toString(params_.mode), xfer_.now());
-                    }
-                    fsmStep_ = 1;
-                    matched = true;
-                }
-                break;
-              case 1:
-                if (ctx_ok && !is_store) {
-                    fsmLoadAddr_ = target;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 2;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 2:
-                if (ctx_ok && is_store &&
-                    (weak || target == fsmStoreAddr_)) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 3;
-                    matched = true;
-                }
-                break;
-              case 3:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmLoadAddr_)) {
-                    fsmLoadAddr_ = target;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 4;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 4:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmStoreAddr_)) {
-                    fsmContributors_.push_back(pkt.srcPid);
-                    const TransferId id =
-                        tryStartUser(fsmLoadAddr_, fsmStoreAddr_, fsmSize_,
-                                     0, fsmContributors_, fsmSpan_);
-                    pkt.data = id == invalidTransfer ? dmastatus::failure
-                                                     : dmastatus::ok;
-                    fsmStep_ = 0;
-                    fsmContributors_.clear();
-                    fsmSpan_ = span::invalidSpan;
-                    matched = true;
-                }
-                break;
-            }
-            break;
-
-          default:
-            ULDMA_PANIC("fsmStepAccess in non-repeated mode");
-        }
-
-        if (matched)
-            return;
-
-        // Mismatch: reset, and on the second pass let this access seed
-        // a fresh sequence; if it cannot, report failure to loads.
+    const FsmStep &step = seq[fsmStep_];
+    const Addr repeated =
+        step.repeat == FsmStep::Src ? fsmLoadAddr_ : fsmStoreAddr_;
+    // A sequence belongs to one shadow CONTEXT_ID: an access that
+    // arrives through a different context window never continues it,
+    // even when its stripped target address lines up.  The test-only
+    // Weaken::Recognizer skips the same-address checks of figure 7 and
+    // adopts the new address instead of resetting.
+    if (step.store != is_store || (fsmStep_ != 0 && ctx != fsmCtx_) ||
+        (step.repeat != FsmStep::None &&
+         params_.weaken != Weaken::Recognizer && target != repeated)) {
+        // Mismatch: reset, and let this access begin a new sequence
+        // (which makes the figure-5 interleaving possible against
+        // Repeated3); if it cannot, report failure to loads.
         fsmReset();
-        if (attempt == 1) {
+        if (seq[0].store != is_store) {
             if (!is_store) {
-                if (span::captureOn()) {
-                    auto &t = span::tracker();
-                    t.reject(t.open(name_, toString(params_.mode),
-                                    xfer_.now()),
-                             xfer_.now());
-                }
+                rejectSpan(toString(params_.mode));
                 pkt.data = dmastatus::failure;
             }
             return;
         }
-        if (!is_store)
-            pkt.data = dmastatus::failure;
     }
+
+    if (fsmStep_ == 0) {
+        fsmCtx_ = ctx;
+        if (span::captureOn()) {
+            fsmSpan_ = span::tracker().open(name_, toString(params_.mode),
+                                            xfer_.now());
+        }
+    }
+    fsmContributors_.push_back(pkt.srcPid);
+    if (fsmStep_ + 1 == seq.size()) {
+        const TransferId id = tryStartUser(fsmLoadAddr_, fsmStoreAddr_,
+                                           fsmSize_, 0, fsmContributors_,
+                                           fsmSpan_);
+        pkt.data = dmastatus::of(id != invalidTransfer);
+        fsmStep_ = 0;
+        fsmContributors_.clear();
+        fsmSpan_ = span::invalidSpan;
+        return;
+    }
+    if (is_store) {
+        fsmStoreAddr_ = target;
+        fsmSize_ = pkt.data;
+    } else {
+        fsmLoadAddr_ = target;
+        pkt.data = dmastatus::pending;
+    }
+    ++fsmStep_;
 }
 
 // ---------------------------------------------------------------------
@@ -900,11 +751,7 @@ DmaEngine::shadowMappedOut(Packet &pkt, Addr target)
     if (!pkt.isWrite()) {
         pkt.data = dmastatus::failure;
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        rejectSpan(toString(params_.mode));
         return;
     }
 
@@ -913,11 +760,7 @@ DmaEngine::shadowMappedOut(Packet &pkt, Addr target)
         // No mapped-out counterpart: the single-access initiation has
         // nowhere to send the data (paper §2.4's restriction).
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        rejectSpan(toString(params_.mode));
         if (pkt.rmw)
             pkt.data = dmastatus::failure;
         return;
@@ -932,10 +775,8 @@ DmaEngine::shadowMappedOut(Packet &pkt, Addr target)
     const TransferId id =
         tryStartUser(target, dst, pkt.data, 0, {pkt.srcPid}, sid);
     mapOutTransfer_ = id;
-    if (pkt.rmw) {
-        pkt.data = id == invalidTransfer ? dmastatus::failure
-                                         : dmastatus::ok;
-    }
+    if (pkt.rmw)
+        pkt.data = dmastatus::of(id != invalidTransfer);
 }
 
 // ---------------------------------------------------------------------
@@ -985,19 +826,12 @@ DmaEngine::ringDoorbell(Packet &pkt, unsigned ctx)
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "ring_key_mismatch",
                           "ctx ", ctx);
         ++keyMismatch_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, "ring", xfer_.now()), xfer_.now(),
-                     span::Outcome::KeyMismatch);
-        }
+        rejectSpan("ring", span::Outcome::KeyMismatch);
         return;
     }
     if (!ring.configured || localMemory_ == nullptr) {
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, "ring", xfer_.now()), xfer_.now());
-        }
+        rejectSpan("ring");
         return;
     }
 
@@ -1091,27 +925,26 @@ DmaEngine::ringConsume(unsigned ctx, Pid doorbell_pid)
     if (iommu_)
         return ringConsumeIommu(ctx, slot, src, dst, size, doorbell_pid);
 
-    span::SpanId sid = span::invalidSpan;
-    if (span::captureOn())
-        sid = span::tracker().open(name_, "ring", xfer_.now());
-
     // The kernel-programmed frame table is the ring's protection: a
     // descriptor is only as trusted as the rights the OS granted the
-    // context at setup time.  weakRing (model-checker fault injection)
-    // turns this into the vulnerable "trust the descriptor" design.
-    if (!params_.weakRing &&
+    // context at setup time.  Weaken::Ring (model-checker fault
+    // injection) turns this into the vulnerable "trust the descriptor"
+    // design.
+    if (params_.weaken != Weaken::Ring &&
         (!ringFrameAllowed(ring, src, size) ||
          !ringFrameAllowed(ring, dst, size))) {
         ++ringRejects_;
         ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(sid, xfer_.now());
+        rejectSpan("ring");
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "ring_reject",
                           "ctx ", ctx, " unauthorized frame");
         ringRetire(ctx, slot, dmastatus::failure, ringdesc::ctrl::error);
         return true;
     }
 
+    span::SpanId sid = span::invalidSpan;
+    if (span::captureOn())
+        sid = span::tracker().open(name_, "ring", xfer_.now());
     const TransferId id = tryStartUser(
         src, dst, size, ctx, {doorbell_pid}, sid, /*via_ring=*/true,
         [this, ctx, slot]() {
@@ -1193,10 +1026,7 @@ DmaEngine::ringConsumeIommu(unsigned ctx, unsigned slot, Addr src,
     if (size == 0 || size > params_.iommu.maxSgBytes) {
         ++ringRejects_;
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, "ring", xfer_.now()), xfer_.now());
-        }
+        rejectSpan("ring");
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "ring_reject",
                           "ctx ", ctx, " bad sg size ", size);
         ringRetire(ctx, slot, dmastatus::failure, ringdesc::ctrl::error);
@@ -1239,7 +1069,7 @@ DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
             ULDMA_TRACE_EVENT(name_, xfer_.now(), "iommu_fault",
                               "ctx ", ctx, " iova 0x", std::hex,
                               fault_iova);
-            if (params_.weakIommu) {
+            if (params_.weaken == Weaken::Iommu) {
                 // Fault injection (model checker): trust the
                 // descriptor's raw address as physical — the bypass an
                 // IOMMU exists to rule out.
@@ -1324,7 +1154,7 @@ DmaEngine::maybeFinishSgSlot(unsigned ctx, unsigned slot)
         return;
     const bool err = sg.error;
     ring.sg.erase(it);
-    ringRetire(ctx, slot, err ? dmastatus::failure : dmastatus::ok,
+    ringRetire(ctx, slot, dmastatus::of(!err),
                err ? ringdesc::ctrl::error : ringdesc::ctrl::done);
     ringTransferDone(ctx, slot);
 }
@@ -1425,40 +1255,33 @@ DmaEngine::capManage(Addr offset, std::uint64_t value)
     switch (offset) {
       case kregs::capSlotSelect:
         capSlotSelect_ = value;
-        capLastStatus_ = value < params_.cap.numSlots ? dmastatus::ok
-                                                      : dmastatus::failure;
+        capLastStatus_ = dmastatus::of(value < params_.cap.numSlots);
         break;
       case kregs::capSpanBase:
         capSpanBaseStage_ = value;
         capLastStatus_ = dmastatus::ok;
         break;
       case kregs::capSpanLimit:
-        capLastStatus_ = cap_->addSpan(slot, capSpanBaseStage_, value)
-                             ? dmastatus::ok
-                             : dmastatus::failure;
+        capLastStatus_ =
+            dmastatus::of(cap_->addSpan(slot, capSpanBaseStage_, value));
         break;
       case kregs::capConfig:
-        capLastStatus_ = cap_->configure(slot, capconfig::rightsOf(value),
-                                         capconfig::rateClassOf(value))
-                             ? dmastatus::ok
-                             : dmastatus::failure;
+        capLastStatus_ = dmastatus::of(cap_->configure(
+            slot, capconfig::rightsOf(value), capconfig::rateClassOf(value)));
         break;
       case kregs::capSecret:
-        capLastStatus_ = cap_->install(slot, value) ? dmastatus::ok
-                                                    : dmastatus::failure;
+        capLastStatus_ = dmastatus::of(cap_->install(slot, value));
         break;
       case kregs::capOp:
         if (value == capop::revoke) {
             // Bump the generation first so any presentation racing the
             // revocation already fails the generation check, then fail
             // closed everything queued or in flight for the slot.
-            capLastStatus_ = cap_->revoke(slot) ? dmastatus::ok
-                                                : dmastatus::failure;
+            capLastStatus_ = dmastatus::of(cap_->revoke(slot));
             capCancelSlot(slot);
         } else if (value == capop::invalidate) {
             capCancelSlot(slot);
-            capLastStatus_ = cap_->invalidate(slot) ? dmastatus::ok
-                                                    : dmastatus::failure;
+            capLastStatus_ = dmastatus::of(cap_->invalidate(slot));
         } else {
             capLastStatus_ = dmastatus::failure;
         }
@@ -1518,12 +1341,8 @@ DmaEngine::capCommit(unsigned slot, std::uint64_t capword)
     pendingExtraCycles_ += params_.cap.checkCycles;
 
     CapPresentation &p = capPres_[slot];
-    span::SpanId sid = span::invalidSpan;
-    if (span::captureOn())
-        sid = span::tracker().open(name_, "cap", xfer_.now());
-
     CapFault fault = CapFault::None;
-    if (!params_.weakCap)
+    if (params_.weaken != Weaken::Cap)
         fault = cap_->check(slot, capword, p.src, p.dst, p.size);
 
     // Even the weakened engine cannot move bytes through endpoints the
@@ -1541,17 +1360,19 @@ DmaEngine::capCommit(unsigned slot, std::uint64_t capword)
         ++rejected_;
         p.status = dmastatus::failure;
         p.contributors.clear();
-        if (span::captureOn())
-            span::tracker().reject(sid, xfer_.now());
+        rejectSpan("cap");
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "cap_reject",
                           "slot ", slot, " fault ",
                           static_cast<int>(fault));
         return;
     }
 
-    if (span::captureOn())
+    span::SpanId sid = span::invalidSpan;
+    if (span::captureOn()) {
+        sid = span::tracker().open(name_, "cap", xfer_.now());
         span::tracker().recognize(sid, xfer_.now(), 0,
                                   /*via_kernel=*/false, p.size);
+    }
 
     const unsigned rate = cap_->valid(slot) ? cap_->rateClass(slot) : 0;
     CapRequest req;
@@ -1647,32 +1468,26 @@ DmaEngine::tryStartUser(Addr src, Addr dst, Addr size, unsigned ctx,
                         std::function<void()> on_complete)
 {
     ULDMA_PROF_SCOPE("dma.initiate");
-    if (size == 0 || size > params_.userMaxTransfer) {
-        ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(span, xfer_.now());
-        ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",
-                          "bad size ", size);
-        return invalidTransfer;
-    }
     // The shadow mapping only proves access rights to a single page;
     // a user transfer must therefore stay within one page at both
     // endpoints (the kernel channel has no such restriction).
-    if (pageNumber(src) != pageNumber(src + size - 1) ||
-        pageNumber(dst) != pageNumber(dst + size - 1)) {
-        ++crossPageRejects_;
-        ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(span, xfer_.now());
-        ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",
-                          "cross-page, size ", size);
-        return invalidTransfer;
-    }
-    if (!backend_.validEndpoint(src, size) ||
+    const bool bad_size = size == 0 || size > params_.userMaxTransfer;
+    const bool cross_page =
+        !bad_size && (pageNumber(src) != pageNumber(src + size - 1) ||
+                      pageNumber(dst) != pageNumber(dst + size - 1));
+    if (bad_size || cross_page || !backend_.validEndpoint(src, size) ||
         !backend_.validEndpoint(dst, size)) {
         ++rejected_;
         if (span::captureOn())
             span::tracker().reject(span, xfer_.now());
+        if (bad_size) {
+            ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",
+                              "bad size ", size);
+        } else if (cross_page) {
+            ++crossPageRejects_;
+            ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",
+                              "cross-page, size ", size);
+        }
         return invalidTransfer;
     }
 
@@ -1698,25 +1513,6 @@ DmaEngine::tryStartUser(Addr src, Addr dst, Addr size, unsigned ctx,
 // ---------------------------------------------------------------------
 // State hashing for the model checker.
 // ---------------------------------------------------------------------
-
-namespace {
-
-/** 64-bit FNV-1a accumulator. */
-struct Fnv1a
-{
-    std::uint64_t h = 14695981039346656037ULL;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-};
-
-} // namespace
 
 std::uint64_t
 DmaEngine::stateHash() const

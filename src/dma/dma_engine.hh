@@ -372,7 +372,6 @@ class DmaEngine : public BusDevice
     /// @{
     void shadowPair(Packet &pkt, Addr target, unsigned ctx);
     void shadowKeyBased(Packet &pkt, Addr target);
-    void shadowRepeated(Packet &pkt, Addr target, unsigned ctx);
     void shadowMappedOut(Packet &pkt, Addr target);
     /// @}
 
@@ -430,6 +429,11 @@ class DmaEngine : public BusDevice
 
     /** Start (or reject) a kernel-channel transfer. */
     void kernelStart();
+
+    /** Record a rejected initiation as a one-event span of
+     *  @p protocol (no-op unless span capture is on). */
+    void rejectSpan(const char *protocol,
+                    span::Outcome why = span::Outcome::Rejected);
 
     /** Reset the repeated-passing FSM. */
     void fsmReset();

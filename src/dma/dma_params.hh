@@ -52,6 +52,32 @@ enum class EngineMode : std::uint8_t
 
 const char *toString(EngineMode mode);
 
+/**
+ * Engine fault injection for the model checker (src/check): which one
+ * protection to weaken.  Each reopens the hole its protection exists
+ * to close, so the checker's oracles can prove they catch it.
+ */
+enum class Weaken : std::uint8_t
+{
+    None,
+    /** The repeated-passing recognizer accepts mid-sequence accesses
+     *  without the §3.3 same-address checks (the new address is
+     *  adopted instead of resetting): the vulnerable recognizer the
+     *  paper argues against. */
+    Recognizer,
+    /** No per-context authorized-frame check on ring descriptors: a
+     *  process that can arm its own ring can name any physical
+     *  frame. */
+    Ring,
+    /** On an IOMMU translation fault the descriptor's address is used
+     *  as a raw physical address instead of faulting. */
+    Iommu,
+    /** Capability presentations start without the secret, generation
+     *  and span validation: any capword starts the transfer it
+     *  names. */
+    Cap,
+};
+
 /** Return codes delivered through shadow/context reads. */
 namespace dmastatus {
 /** Initiation succeeded / transfer complete. */
@@ -60,6 +86,13 @@ inline constexpr std::uint64_t ok = 0;
 inline constexpr std::uint64_t pending = 1;
 /** Failure: bad sequence, bad key, mismatched context, bad argument. */
 inline constexpr std::uint64_t failure = ~std::uint64_t(0);
+
+/** ok when @p succeeded, failure otherwise. */
+constexpr std::uint64_t
+of(bool succeeded)
+{
+    return succeeded ? ok : failure;
+}
 } // namespace dmastatus
 
 /** Key payload layout for the key-based protocol (paper §3.1):
@@ -263,41 +296,9 @@ struct DmaEngineParams
     /** Number of register contexts (paper §3.1 suggests 4 to 8). */
     unsigned numContexts = 4;
 
-    /**
-     * Fault injection for the model checker (src/check): weaken the
-     * repeated-passing sequence recognizer so mid-sequence accesses are
-     * accepted without the §3.3 same-address checks (the new address is
-     * adopted instead of resetting).  This reproduces the vulnerable
-     * recognizer the paper argues against; never set outside tests.
-     */
-    bool weakRecognizer = false;
-
-    /**
-     * Fault injection for the model checker (src/check): disable the
-     * per-context authorized-frame check on ring descriptors, so a
-     * process that can arm its own ring can name *any* physical frame
-     * in a descriptor.  This is the vulnerability the ring-isolation
-     * invariant exists to catch; never set outside tests.
-     */
-    bool weakRing = false;
-
-    /**
-     * Fault injection for the model checker (src/check): on an IOMMU
-     * translation fault, fall back to interpreting the descriptor's
-     * address as a raw physical address instead of faulting.  This is
-     * the translation bypass an IOMMU exists to rule out; never set
-     * outside tests.
-     */
-    bool weakIommu = false;
-
-    /**
-     * Fault injection for the model checker (src/check): accept every
-     * capability presentation without the secret/generation/span
-     * validation — any capword starts the transfer it names.  This is
-     * exactly what an unforgeable capability exists to rule out; never
-     * set outside tests.
-     */
-    bool weakCap = false;
+    /** Fault injection for the model checker (src/check); never set
+     *  outside tests. */
+    Weaken weaken = Weaken::None;
 
     /** Address-translation unit between the engine and the bus.  When
      *  iommu.enabled, ring descriptors carry user virtual addresses

@@ -4,8 +4,8 @@
  * (docs/CAPABILITIES.md): forged capwords, stale capwords after a
  * delegate-then-revoke race (including a true mid-transfer
  * revocation), and presentations whose endpoints escape the granted
- * frame spans are all rejected fail-closed — and the weakCap fault
- * flag (mirroring weakRecognizer/weakRing) demonstrably re-opens the
+ * frame spans are all rejected fail-closed — and Weaken::Cap
+ * (mirroring Weaken::Recognizer/Ring) demonstrably re-opens the
  * hole in a way the model checker's cap-* oracles catch.
  */
 
@@ -43,7 +43,7 @@ struct CapPair
     {
         MachineConfig config;
         configureNode(config.node, DmaMethod::Cap);
-        config.node.dma.weakCap = weak_cap;
+        config.node.dma.weaken = weak_cap ? Weaken::Cap : Weaken::None;
         return config;
     }
 
@@ -319,7 +319,7 @@ TEST(CapProtection, CrossTenantSpanEscapeRejected)
 
 TEST(CapProtection, WeakCapReopensTheHoleAndTheOracleCatchesIt)
 {
-    // weakCap mirrors weakRecognizer/weakRing: with the table check
+    // Weaken::Cap mirrors Recognizer/Ring: with the table check
     // disabled, the ex-delegate's stale capword actually moves bytes
     // out of the victim's frame — and the model checker's cap
     // invariants must flag it.
@@ -383,10 +383,10 @@ TEST(CapProtection, WeakCapReopensTheHoleAndTheOracleCatchesIt)
         revocation = revocation || v.invariant == "cap-revocation";
     }
     EXPECT_TRUE(forgery)
-        << "oracle missed the weakCap forgery (" << violations.size()
+        << "oracle missed the Weaken::Cap forgery (" << violations.size()
         << " violations total)";
     EXPECT_TRUE(revocation)
-        << "oracle missed the weakCap revocation race ("
+        << "oracle missed the Weaken::Cap revocation race ("
         << violations.size() << " violations total)";
 }
 

@@ -134,9 +134,8 @@ TEST(Invariants, KernelInitiationsAreExempt)
 TEST(ScheduleJson, RoundTripIsByteIdentical)
 {
     Schedule s;
-    s.protocol = "repeated";
-    s.faults = true;
-    s.weakRecognizer = true;
+    s.config.faults = true;
+    s.config.weaken = Weaken::Recognizer;
     s.boundarySpace = 12;
     s.preemptAfter = {2, 2, 7};
     Outcome o;
@@ -153,9 +152,9 @@ TEST(ScheduleJson, RoundTripIsByteIdentical)
     Outcome o2;
     std::string error;
     ASSERT_TRUE(parseScheduleJson(first.str(), s2, o2, &error)) << error;
-    EXPECT_EQ(s2.protocol, s.protocol);
-    EXPECT_EQ(s2.faults, s.faults);
-    EXPECT_EQ(s2.weakRecognizer, s.weakRecognizer);
+    EXPECT_EQ(s2.config.method, s.config.method);
+    EXPECT_EQ(s2.config.faults, s.config.faults);
+    EXPECT_EQ(s2.config.weaken, s.config.weaken);
     EXPECT_EQ(s2.boundarySpace, s.boundarySpace);
     EXPECT_EQ(s2.preemptAfter, s.preemptAfter);
     EXPECT_EQ(o2, o);
@@ -185,7 +184,6 @@ std::string
 validScheduleText()
 {
     Schedule s;
-    s.protocol = "repeated";
     s.boundarySpace = 12;
     s.preemptAfter = {2};
     std::ostringstream os;
@@ -221,7 +219,6 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
     // given; the parser must refuse).
     {
         Schedule bad;
-        bad.protocol = "repeated";
         bad.boundarySpace = 12;
         bad.preemptAfter = {5, 2};
         std::ostringstream os;
@@ -232,7 +229,6 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
     // Boundary outside the recorded space.
     {
         Schedule bad;
-        bad.protocol = "repeated";
         bad.boundarySpace = 2;
         bad.preemptAfter = {99};
         std::ostringstream os;
@@ -242,6 +238,85 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
 
     EXPECT_FALSE(parseScheduleJson("not json at all", s, o, &error));
     EXPECT_FALSE(error.empty());
+}
+
+/** validScheduleText() with @p key's value replaced by @p value. */
+std::string
+scheduleTextWith(const std::string &key, const std::string &value)
+{
+    std::string text = validScheduleText();
+    const std::size_t at = text.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = text.find(": ", at) + 2;
+    text.replace(from, text.find(',', from) - from, value);
+    return text;
+}
+
+TEST(ScheduleJson, AtMostOneWeaknessIsTrue)
+{
+    Schedule s;
+    Outcome o;
+    std::string error;
+    std::string text = scheduleTextWith("weakened_recognizer", "true");
+    ASSERT_TRUE(parseScheduleJson(text, s, o, &error)) << error;
+    EXPECT_EQ(s.config.weaken, Weaken::Recognizer);
+
+    const std::string from = "\"weakened_cap\": false";
+    text.replace(text.find(from), from.size(), "\"weakened_cap\": true");
+    EXPECT_FALSE(parseScheduleJson(text, s, o, &error));
+    EXPECT_NE(error.find("more than one weakened_*"), std::string::npos)
+        << error;
+}
+
+TEST(ScheduleJson, WeaknessMustApplyToTheProtocol)
+{
+    Schedule s;
+    Outcome o;
+    std::string error;
+    // The ring frame check does not exist on the repeated protocol.
+    EXPECT_FALSE(parseScheduleJson(scheduleTextWith("weakened_ring", "true"),
+                                   s, o, &error));
+    EXPECT_NE(error.find("weakened_ring does not apply to protocol "
+                         "'repeated'"),
+              std::string::npos)
+        << error;
+
+    // The IOMMU bypass needs the ring protocol with the IOMMU on.
+    std::string text = scheduleTextWith("weakened_iommu", "true");
+    const std::string from = "\"repeated\"";
+    text.replace(text.find(from), from.size(), "\"ring\"");
+    EXPECT_FALSE(parseScheduleJson(text, s, o, &error));
+    EXPECT_NE(error.find("weakened_iommu does not apply to protocol "
+                         "'ring'"),
+              std::string::npos)
+        << error;
+    const std::string iommu = "\"iommu\": false";
+    text.replace(text.find(iommu), iommu.size(), "\"iommu\": true");
+    ASSERT_TRUE(parseScheduleJson(text, s, o, &error)) << error;
+    EXPECT_EQ(s.config.weaken, Weaken::Iommu);
+    EXPECT_TRUE(s.config.useIommu);
+}
+
+TEST(ScheduleJson, SupportedWeaknessesFollowTheProtocol)
+{
+    RunnerConfig config;
+    EXPECT_EQ(supportedWeaknesses(config),
+              std::vector<Weaken>{Weaken::Recognizer});
+    config.method = DmaMethod::Ring;
+    EXPECT_EQ(supportedWeaknesses(config),
+              (std::vector<Weaken>{Weaken::Recognizer, Weaken::Ring}));
+    config.useIommu = true;
+    EXPECT_EQ(supportedWeaknesses(config),
+              (std::vector<Weaken>{Weaken::Recognizer, Weaken::Ring,
+                                   Weaken::Iommu}));
+    config.method = DmaMethod::Cap;
+    config.useIommu = false;
+    EXPECT_EQ(supportedWeaknesses(config),
+              (std::vector<Weaken>{Weaken::Recognizer, Weaken::Cap}));
+    for (Weaken w : {Weaken::None, Weaken::Recognizer, Weaken::Ring,
+                     Weaken::Iommu, Weaken::Cap})
+        EXPECT_EQ(weakenFromToken(weakenToken(w)), w);
+    EXPECT_FALSE(weakenFromToken("bogus").has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -340,7 +415,7 @@ TEST(Explorer, WeakenedRecognizerYieldsMinimalCounterexample)
     ExplorerConfig config;
     config.runner.method = DmaMethod::Repeated5;
     config.runner.faults = true;
-    config.runner.weakRecognizer = true;
+    config.runner.weaken = Weaken::Recognizer;
     config.depth = 2;
     const ExploreReport report = explore(config);
     ASSERT_TRUE(report.counterexample.has_value());
@@ -357,12 +432,8 @@ TEST(Explorer, WeakenedRecognizerYieldsMinimalCounterexample)
     EXPECT_TRUE(violates(replay.violations, "intent-match"));
 
     // ...and serialises to the same bytes both times.
-    Schedule schedule;
-    schedule.protocol = "repeated";
-    schedule.faults = true;
-    schedule.weakRecognizer = true;
-    schedule.boundarySpace = cex.result.boundarySpace;
-    schedule.preemptAfter = cex.preemptAfter;
+    const Schedule schedule{config.runner, cex.result.boundarySpace,
+                            cex.preemptAfter};
     std::ostringstream first, second;
     writeScheduleJson(first, schedule, outcomeOf(cex.result));
     writeScheduleJson(second, schedule, outcomeOf(replay));

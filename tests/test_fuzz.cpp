@@ -2,8 +2,8 @@
  * @file
  * The coverage-guided schedule fuzzer checked (src/check/fuzzer.hh):
  * seed determinism down to report bytes, coverage accounting and
- * curve monotonicity, rediscovery of the seeded --weaken-ring and
- * --weaken-cap violations with replay-exact shrunk findings, clean
+ * curve monotonicity, rediscovery of the seeded --weaken=ring and
+ * --weaken=cap violations with replay-exact shrunk findings, clean
  * configs staying clean, swarm-mode config drawing, and the repro
  * round trip through the uldma-schedule-v1 serializer.
  */
@@ -26,7 +26,7 @@ ringWeakConfig()
     FuzzConfig config;
     config.runner.method = DmaMethod::Ring;
     config.runner.faults = true;
-    config.runner.weakRing = true;
+    config.runner.weaken = Weaken::Ring;
     config.seed = 1;
     config.budgetSchedules = 300;
     config.maxPoints = 4;
@@ -151,7 +151,7 @@ TEST(Fuzzer, RediscoversWeakenedCapViolation)
     FuzzConfig config;
     config.runner.method = DmaMethod::Cap;
     config.runner.faults = true;
-    config.runner.weakCap = true;
+    config.runner.weaken = Weaken::Cap;
     config.seed = 7;
     config.budgetSchedules = 400;
     const FuzzReport r = fuzz(config);
@@ -200,9 +200,9 @@ TEST(Fuzzer, FindingScheduleRoundTripsAsScheduleV1)
     ASSERT_FALSE(r.findings.empty());
     const FuzzFinding &f = r.findings.front();
     const Schedule s = findingSchedule(f);
-    EXPECT_EQ(s.protocol, "ring");
-    EXPECT_TRUE(s.faults);
-    EXPECT_TRUE(s.weakRing);
+    EXPECT_EQ(s.config.method, DmaMethod::Ring);
+    EXPECT_TRUE(s.config.faults);
+    EXPECT_EQ(s.config.weaken, Weaken::Ring);
     EXPECT_EQ(s.boundarySpace, f.boundarySpace);
     EXPECT_EQ(s.preemptAfter, f.preemptAfter);
 
@@ -217,7 +217,8 @@ TEST(Fuzzer, FindingScheduleRoundTripsAsScheduleV1)
     ASSERT_TRUE(parseScheduleJson(os1.str(), parsed, parsedOutcome,
                                   &error))
         << error;
-    EXPECT_EQ(parsed.protocol, s.protocol);
+    EXPECT_EQ(parsed.config.method, s.config.method);
+    EXPECT_EQ(parsed.config.weaken, s.config.weaken);
     EXPECT_EQ(parsed.preemptAfter, s.preemptAfter);
     EXPECT_TRUE(parsedOutcome == f.outcome);
 }
@@ -242,10 +243,14 @@ TEST(Fuzzer, SwarmDrawsMultipleConfigs)
         if (c.config.useIommu) {
             EXPECT_EQ(c.config.method, DmaMethod::Ring);
         }
-        if (c.config.weakRing || c.config.weakIommu) {
+        if (c.config.weaken == Weaken::Ring ||
+            c.config.weaken == Weaken::Iommu) {
             EXPECT_EQ(c.config.method, DmaMethod::Ring);
         }
-        if (c.config.weakCap) {
+        if (c.config.weaken == Weaken::Iommu) {
+            EXPECT_TRUE(c.config.useIommu);
+        }
+        if (c.config.weaken == Weaken::Cap) {
             EXPECT_EQ(c.config.method, DmaMethod::Cap);
         }
     }
@@ -257,7 +262,7 @@ TEST(Fuzzer, SwarmDrawsMultipleConfigs)
     // bug, counted as unexpected).
     EXPECT_EQ(r.unexpectedFindings, 0u);
     for (const FuzzFinding &f : r.findings)
-        EXPECT_TRUE(configWeakened(f.config));
+        EXPECT_NE(f.config.weaken, Weaken::None);
 }
 
 // ---------------------------------------------------------------------

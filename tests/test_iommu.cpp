@@ -5,7 +5,8 @@
  * staleness, Iommu map/pin/translate/fault semantics under both
  * pinning policies, the kernel's iommu syscall surface, and the DMA
  * engine's virtually-addressed ring path — scatter-gather splitting,
- * abort-vs-trap fault handling, and the weakIommu raw-address bypass.
+ * abort-vs-trap fault handling, and the Weaken::Iommu raw-address
+ * bypass.
  */
 
 #include <gtest/gtest.h>
@@ -312,7 +313,7 @@ struct IommuRig
         config.node.dma.iommu.iotlbWays = 2;
         config.node.dma.iommu.faultPolicy = fault;
         config.node.dma.iommu.pinPolicy = pinning;
-        config.node.dma.weakIommu = weak;
+        config.node.dma.weaken = weak ? Weaken::Iommu : Weaken::None;
         return config;
     }
 

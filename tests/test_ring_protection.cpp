@@ -3,8 +3,8 @@
  * Protection tests for the descriptor ring (docs/RING.md): forged
  * doorbells from the wrong context, descriptors aimed at another
  * context's ring, and torn descriptor writes (control word first) are
- * all rejected with the correct span outcome — and the weakRing fault
- * flag (mirroring weakRecognizer) demonstrably re-opens the hole in a
+ * all rejected with the correct span outcome — and Weaken::Ring
+ * (mirroring Weaken::Recognizer) demonstrably re-opens the hole in a
  * way the model checker's ring-isolation oracle catches.
  */
 
@@ -41,7 +41,7 @@ struct RingPair
     {
         MachineConfig config;
         configureNode(config.node, DmaMethod::Ring);
-        config.node.dma.weakRing = weak_ring;
+        config.node.dma.weaken = weak_ring ? Weaken::Ring : Weaken::None;
         return config;
     }
 
@@ -318,7 +318,7 @@ TEST(RingProtection, TornWriteControlWordFirstRejected)
 
 TEST(RingProtection, WeakRingReopensTheHoleAndTheOracleCatchesIt)
 {
-    // weakRing mirrors weakRecognizer: with the frame check disabled,
+    // Weaken::Ring mirrors Recognizer: with the frame check disabled,
     // the descriptor aimed at the victim's buffer actually transfers —
     // and the model checker's ring-isolation invariant must flag it.
     RingPair rig(/*weak_ring=*/true);
@@ -381,7 +381,7 @@ TEST(RingProtection, WeakRingReopensTheHoleAndTheOracleCatchesIt)
     for (const check::Violation &v : violations)
         ring_isolation = ring_isolation || v.invariant == "ring-isolation";
     EXPECT_TRUE(ring_isolation)
-        << "oracle missed the weakRing theft (" << violations.size()
+        << "oracle missed the Weaken::Ring theft (" << violations.size()
         << " other violations)";
 }
 

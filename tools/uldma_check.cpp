@@ -15,11 +15,11 @@
  *
  * Fuzz mode: --fuzz runs the coverage-guided mutational loop
  * (docs/FUZZING.md) instead of the exhaustive DFS; --swarm re-draws
- * protocol and fault flags every batch.  Findings are shrunk and the
+ * protocol and fault injection every batch.  Findings are shrunk and the
  * first one is written to --report as a replayable repro;
  * --fuzz-report writes the strict uldma-fuzz-v1 campaign document.
  * Exit 0 unless a violation was found on a configuration with no
- * --weaken-* flag (a real bug); --expect-violation inverts: exit 0
+ * --weaken (a real bug); --expect-violation inverts: exit 0
  * iff at least one finding (for the seeded fault-injection soaks).
  */
 
@@ -82,15 +82,7 @@ replayMode(const std::string &path, const std::string &report)
     if (!parseScheduleJson(text.str(), schedule, recorded, &error))
         return usageError(path + ": " + error);
 
-    RunnerConfig config;
-    config.method = *protocolMethod(schedule.protocol);
-    config.faults = schedule.faults;
-    config.weakRecognizer = schedule.weakRecognizer;
-    config.weakRing = schedule.weakRing;
-    config.useIommu = schedule.iommu;
-    config.weakIommu = schedule.weakIommu;
-    config.weakCap = schedule.weakCap;
-    const RunResult r = runSchedule(config, schedule.preemptAfter);
+    const RunResult r = runSchedule(schedule.config, schedule.preemptAfter);
     const Outcome reproduced = outcomeOf(r);
 
     if (!report.empty() &&
@@ -109,7 +101,8 @@ replayMode(const std::string &path, const std::string &report)
         printViolations(reproduced.violations);
         return 1;
     }
-    std::cout << "replay reproduced: " << schedule.protocol << " with "
+    std::cout << "replay reproduced: "
+              << protocolToken(schedule.config.method) << " with "
               << schedule.preemptAfter.size() << " preemption(s), "
               << reproduced.violations.size() << " violation(s)\n";
     printViolations(reproduced.violations);
@@ -188,20 +181,12 @@ main(int argc, char **argv)
     opts.addInt("depth", 2, "max preemption points per schedule");
     opts.addFlag("faults", false,
                  "adversarial shadow traffic in every preemption gap");
-    opts.addFlag("weaken", false,
-                 "fault-inject a weakened sequence recognizer");
-    opts.addFlag("weaken-ring", false,
-                 "fault-inject a disabled ring frame check");
+    opts.addString("weaken", "none",
+                   "fault-inject one engine weakness: recognizer | ring "
+                   "| iommu (implies --iommu) | cap");
     opts.addFlag("iommu", false,
                  "route ring descriptors through the engine's IOMMU "
                  "(virtual-address descriptors)");
-    opts.addFlag("weaken-iommu", false,
-                 "fault-inject raw-address bypass on IOMMU faults "
-                 "(implies --iommu)");
-    opts.addFlag("weaken-cap", false,
-                 "fault-inject a capability engine that starts "
-                 "presentations without consulting the table "
-                 "(requires --protocol=cap)");
     opts.addFlag("no-prune", false, "disable state-hash prefix pruning");
     opts.addInt("max-runs", 0, "cap on schedule executions (0 = none)");
     opts.addFlag("fuzz", false,
@@ -215,8 +200,8 @@ main(int argc, char **argv)
     opts.addInt("batch-schedules", 64,
                 "fuzz mode: schedules per (swarm) config batch");
     opts.addFlag("swarm", false,
-                 "fuzz mode: re-draw protocol and fault flags every "
-                 "batch");
+                 "fuzz mode: re-draw protocol and fault injection "
+                 "every batch");
     opts.addFlag("no-shrink", false,
                  "fuzz mode: skip greedy counterexample shrinking");
     opts.addString("fuzz-report", "",
@@ -259,16 +244,22 @@ main(int argc, char **argv)
     ExplorerConfig config;
     config.runner.method = *method;
     config.runner.faults = opts.getFlag("faults");
-    config.runner.weakRecognizer = opts.getFlag("weaken");
-    config.runner.weakRing = opts.getFlag("weaken-ring");
-    config.runner.weakIommu = opts.getFlag("weaken-iommu");
+    const auto weaken = weakenFromToken(opts.getString("weaken"));
+    if (!weaken) {
+        return usageError("unknown weakness '" + opts.getString("weaken") +
+                          "' (recognizer | ring | iommu | cap)");
+    }
+    config.runner.weaken = *weaken;
     config.runner.useIommu =
-        opts.getFlag("iommu") || config.runner.weakIommu;
+        opts.getFlag("iommu") || *weaken == Weaken::Iommu;
     if (config.runner.useIommu && *method != DmaMethod::Ring)
-        return usageError("--iommu/--weaken-iommu require --protocol=ring");
-    config.runner.weakCap = opts.getFlag("weaken-cap");
-    if (config.runner.weakCap && *method != DmaMethod::Cap)
-        return usageError("--weaken-cap requires --protocol=cap");
+        return usageError("--iommu and --weaken=iommu require "
+                          "--protocol=ring");
+    if (!weakenSupported(config.runner)) {
+        return usageError("--weaken=" + opts.getString("weaken") +
+                          " does not apply to --protocol=" +
+                          opts.getString("protocol"));
+    }
 
     if (opts.getFlag("fuzz")) {
         if (opts.getInt("budget-schedules") <= 0)
@@ -318,16 +309,8 @@ main(int argc, char **argv)
         std::cout << "\n";
         printViolations(cex.result.violations);
         if (!report.empty()) {
-            Schedule schedule;
-            schedule.protocol = protocolToken(*method);
-            schedule.faults = config.runner.faults;
-            schedule.weakRecognizer = config.runner.weakRecognizer;
-            schedule.weakRing = config.runner.weakRing;
-            schedule.iommu = config.runner.useIommu;
-            schedule.weakIommu = config.runner.weakIommu;
-            schedule.weakCap = config.runner.weakCap;
-            schedule.boundarySpace = result.boundarySpace;
-            schedule.preemptAfter = cex.preemptAfter;
+            const Schedule schedule{config.runner, result.boundarySpace,
+                                    cex.preemptAfter};
             if (!writeReport(report, schedule, outcomeOf(cex.result)))
                 return 2;
             std::cout << "repro written to " << report << "\n";

@@ -73,6 +73,7 @@
 #include <string>
 #include <vector>
 
+#include "check/schedule.hh"
 #include "sim/json.hh"
 
 using uldma::json::Value;
@@ -475,6 +476,98 @@ validateWorkload(Problems &p, const Value &doc)
     }
 }
 
+/**
+ * Scenario-config members shared by uldma-schedule-v1 documents and
+ * uldma-fuzz-v1 rows, checked by the reader replays use: a known
+ * protocol, boolean flags, and at most one weakened_* true, one the
+ * protocol supports.  Fuzz rows carry every member; schedule files
+ * may omit those that postdate the schema (@p legacy).
+ */
+void
+checkConfigMembers(Problems &p, const Value &r, const std::string &prefix,
+                   bool legacy)
+{
+    uldma::check::RunnerConfig config;
+    std::string error;
+    if (!uldma::check::readConfigMembers(r, config, &error))
+        p.add(prefix + error);
+    if (legacy)
+        return;
+    for (const char *f :
+         {"weakened_ring", "iommu", "weakened_iommu", "weakened_cap"})
+        p.require(r[f].isBool(), prefix + f + " missing");
+}
+
+/** preempt_after of a schedule document or fuzz finding: numbers in
+ *  non-decreasing order, each inside boundary_space. */
+void
+checkPreemptAfter(Problems &p, const Value &r, const std::string &prefix)
+{
+    p.require(r["preempt_after"].isArray(), prefix + "preempt_after missing");
+    if (!r["preempt_after"].isArray())
+        return;
+    const auto &pts = r["preempt_after"].asArray();
+    double last = 0.0;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        const std::string where =
+            prefix + "preempt_after[" + std::to_string(i) + "]";
+        p.require(pts[i].isNumber(), where + " is not a number");
+        if (!pts[i].isNumber())
+            continue;
+        const double v = pts[i].asNumber();
+        if (r["boundary_space"].isNumber()) {
+            p.require(v < r["boundary_space"].asNumber(),
+                      where + " out of boundary space");
+        }
+        p.require(i == 0 || v >= last,
+                  where + " breaks non-decreasing order");
+        last = v;
+    }
+}
+
+/** The recorded run outcome of a schedule document or fuzz finding;
+ *  a finding must carry at least one violation. */
+void
+checkOutcome(Problems &p, const Value &r, const std::string &prefix,
+             bool needViolation)
+{
+    const Value &oc = r["outcome"];
+    const std::string where = prefix + "outcome";
+    p.require(oc.isObject(), where + " missing");
+    checkNoExtra(p, oc,
+                 {"finished", "status", "initiations", "state_hash",
+                  "violations"},
+                 where);
+    p.require(oc["finished"].isBool(), where + ".finished missing");
+    p.require(oc["initiations"].isNumber(), where + ".initiations missing");
+    for (const char *f : {"status", "state_hash"}) {
+        const std::string fw = where + "." + f;
+        p.require(oc[f].isString(), fw + " missing");
+        if (oc[f].isString()) {
+            const std::string &s = oc[f].asString();
+            bool hex = s.size() > 2 && s.size() <= 18 &&
+                       s.compare(0, 2, "0x") == 0;
+            for (std::size_t i = 2; hex && i < s.size(); ++i) {
+                const char c = s[i];
+                hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+            }
+            p.require(hex, fw + " is not a 0x hex string");
+        }
+    }
+    p.require(oc["violations"].isArray(), where + ".violations missing");
+    if (!oc["violations"].isArray())
+        return;
+    const auto &vs = oc["violations"].asArray();
+    p.require(!needViolation || !vs.empty(), where + ".violations is empty");
+    for (std::size_t i = 0; i < vs.size(); ++i) {
+        const std::string vw =
+            where + ".violations[" + std::to_string(i) + "]";
+        checkNoExtra(p, vs[i], {"invariant", "detail"}, vw);
+        p.require(vs[i]["invariant"].isString(), vw + ".invariant missing");
+        p.require(vs[i]["detail"].isString(), vw + ".detail missing");
+    }
+}
+
 /** Strict uldma-schedule-v1 check (model-checker repro files). */
 void
 validateSchedule(Problems &p, const Value &doc)
@@ -485,89 +578,10 @@ validateSchedule(Problems &p, const Value &doc)
                   "weakened_cap", "boundary_space", "preempt_after",
                   "outcome"},
                  "root");
-    p.require(doc["protocol"].isString(), "protocol missing");
-    if (doc["protocol"].isString()) {
-        const std::string proto = doc["protocol"].asString();
-        p.require(proto == "pal" || proto == "key-based" ||
-                      proto == "ext-shadow" || proto == "repeated" ||
-                      proto == "ring" || proto == "cap",
-                  "unknown protocol '" + proto + "'");
-    }
-    p.require(doc["faults"].isBool(), "faults missing");
-    p.require(doc["weakened_recognizer"].isBool(),
-              "weakened_recognizer missing");
-    // Optional: absent in schedule files from before the ring engine
-    // (readers treat absent as false).
-    if (!doc["weakened_ring"].isNull())
-        p.require(doc["weakened_ring"].isBool(),
-                  "weakened_ring is not a bool");
-    // Optional likewise: absent before the IOMMU subsystem.
-    if (!doc["iommu"].isNull())
-        p.require(doc["iommu"].isBool(), "iommu is not a bool");
-    if (!doc["weakened_iommu"].isNull())
-        p.require(doc["weakened_iommu"].isBool(),
-                  "weakened_iommu is not a bool");
-    // Optional likewise: absent before the capability subsystem.
-    if (!doc["weakened_cap"].isNull())
-        p.require(doc["weakened_cap"].isBool(),
-                  "weakened_cap is not a bool");
+    checkConfigMembers(p, doc, "", /*legacy=*/true);
     p.require(doc["boundary_space"].isNumber(), "boundary_space missing");
-    p.require(doc["preempt_after"].isArray(), "preempt_after missing");
-    if (doc["preempt_after"].isArray()) {
-        const auto &pts = doc["preempt_after"].asArray();
-        double last = 0.0;
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-            const std::string where =
-                "preempt_after[" + std::to_string(i) + "]";
-            p.require(pts[i].isNumber(), where + " is not a number");
-            if (!pts[i].isNumber())
-                continue;
-            const double v = pts[i].asNumber();
-            if (doc["boundary_space"].isNumber()) {
-                p.require(v < doc["boundary_space"].asNumber(),
-                          where + " out of boundary space");
-            }
-            p.require(i == 0 || v >= last,
-                      where + " breaks non-decreasing order");
-            last = v;
-        }
-    }
-
-    const Value &oc = doc["outcome"];
-    p.require(oc.isObject(), "outcome missing");
-    checkNoExtra(p, oc,
-                 {"finished", "status", "initiations", "state_hash",
-                  "violations"},
-                 "outcome");
-    p.require(oc["finished"].isBool(), "outcome.finished missing");
-    p.require(oc["initiations"].isNumber(), "outcome.initiations missing");
-    for (const char *f : {"status", "state_hash"}) {
-        const std::string where = std::string("outcome.") + f;
-        p.require(oc[f].isString(), where + " missing");
-        if (oc[f].isString()) {
-            const std::string &s = oc[f].asString();
-            bool hex = s.size() > 2 && s.size() <= 18 &&
-                       s.compare(0, 2, "0x") == 0;
-            for (std::size_t i = 2; hex && i < s.size(); ++i) {
-                const char c = s[i];
-                hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-            }
-            p.require(hex, where + " is not a 0x hex string");
-        }
-    }
-    p.require(oc["violations"].isArray(), "outcome.violations missing");
-    if (oc["violations"].isArray()) {
-        const auto &vs = oc["violations"].asArray();
-        for (std::size_t i = 0; i < vs.size(); ++i) {
-            const std::string where =
-                "outcome.violations[" + std::to_string(i) + "]";
-            checkNoExtra(p, vs[i], {"invariant", "detail"}, where);
-            p.require(vs[i]["invariant"].isString(),
-                      where + ".invariant missing");
-            p.require(vs[i]["detail"].isString(),
-                      where + ".detail missing");
-        }
-    }
+    checkPreemptAfter(p, doc, "");
+    checkOutcome(p, doc, "", /*needViolation=*/false);
 }
 
 /** Strict uldma-profile-v1 scope-tree node check (recursive). */
@@ -621,26 +635,6 @@ validateProfile(Problems &p, const Value &doc)
             validateProfileNode(p, roots[i], host_time,
                                 "tree[" + std::to_string(i) + "]");
     }
-}
-
-/** One scenario-config member block shared by uldma-fuzz-v1 config
- *  and finding rows (mirrors the uldma-schedule-v1 header fields). */
-void
-checkFuzzConfigMembers(Problems &p, const Value &r,
-                       const std::string &where)
-{
-    p.require(r["protocol"].isString(), where + ".protocol missing");
-    if (r["protocol"].isString()) {
-        const std::string proto = r["protocol"].asString();
-        p.require(proto == "pal" || proto == "key-based" ||
-                      proto == "ext-shadow" || proto == "repeated" ||
-                      proto == "ring" || proto == "cap",
-                  where + ": unknown protocol '" + proto + "'");
-    }
-    for (const char *f : {"faults", "weakened_recognizer",
-                          "weakened_ring", "iommu", "weakened_iommu",
-                          "weakened_cap"})
-        p.require(r[f].isBool(), where + "." + f + " missing");
 }
 
 /** Strict uldma-fuzz-v1 check (coverage-guided fuzzing campaign
@@ -717,7 +711,7 @@ validateFuzz(Problems &p, const Value &doc)
                           "weakened_cap", "boundary_space", "execs",
                           "new_edges", "corpus", "findings"},
                          where);
-            checkFuzzConfigMembers(p, r, where);
+            checkConfigMembers(p, r, where + ".", /*legacy=*/false);
             for (const char *f : {"boundary_space", "execs",
                                   "new_edges", "corpus", "findings"})
                 p.require(r[f].isNumber(), where + "." + f + " missing");
@@ -738,75 +732,13 @@ validateFuzz(Problems &p, const Value &doc)
                           "preempt_after", "found_at_exec",
                           "shrink_execs", "expected", "outcome"},
                          where);
-            checkFuzzConfigMembers(p, r, where);
+            checkConfigMembers(p, r, where + ".", /*legacy=*/false);
             for (const char *f :
                  {"boundary_space", "found_at_exec", "shrink_execs"})
                 p.require(r[f].isNumber(), where + "." + f + " missing");
             p.require(r["expected"].isBool(), where + ".expected missing");
-            p.require(r["preempt_after"].isArray(),
-                      where + ".preempt_after missing");
-            if (r["preempt_after"].isArray()) {
-                const auto &pts = r["preempt_after"].asArray();
-                double last = 0.0;
-                for (std::size_t j = 0; j < pts.size(); ++j) {
-                    const std::string pw =
-                        where + ".preempt_after[" + std::to_string(j) +
-                        "]";
-                    p.require(pts[j].isNumber(), pw + " is not a number");
-                    if (!pts[j].isNumber())
-                        continue;
-                    const double v = pts[j].asNumber();
-                    if (r["boundary_space"].isNumber())
-                        p.require(v < r["boundary_space"].asNumber(),
-                                  pw + " out of boundary space");
-                    p.require(j == 0 || v >= last,
-                              pw + " breaks non-decreasing order");
-                    last = v;
-                }
-            }
-
-            const Value &oc = r["outcome"];
-            p.require(oc.isObject(), where + ".outcome missing");
-            checkNoExtra(p, oc,
-                         {"finished", "status", "initiations",
-                          "state_hash", "violations"},
-                         where + ".outcome");
-            p.require(oc["finished"].isBool(),
-                      where + ".outcome.finished missing");
-            p.require(oc["initiations"].isNumber(),
-                      where + ".outcome.initiations missing");
-            for (const char *f : {"status", "state_hash"}) {
-                const std::string fw = where + ".outcome." + f;
-                p.require(oc[f].isString(), fw + " missing");
-                if (oc[f].isString()) {
-                    const std::string &s = oc[f].asString();
-                    bool hex = s.size() > 2 && s.size() <= 18 &&
-                               s.compare(0, 2, "0x") == 0;
-                    for (std::size_t j = 2; hex && j < s.size(); ++j) {
-                        const char c = s[j];
-                        hex = (c >= '0' && c <= '9') ||
-                              (c >= 'a' && c <= 'f');
-                    }
-                    p.require(hex, fw + " is not a 0x hex string");
-                }
-            }
-            p.require(oc["violations"].isArray(),
-                      where + ".outcome.violations missing");
-            if (oc["violations"].isArray()) {
-                const auto &vs = oc["violations"].asArray();
-                p.require(!vs.empty(),
-                          where + ".outcome.violations is empty");
-                for (std::size_t j = 0; j < vs.size(); ++j) {
-                    const std::string vw =
-                        where + ".outcome.violations[" +
-                        std::to_string(j) + "]";
-                    checkNoExtra(p, vs[j], {"invariant", "detail"}, vw);
-                    p.require(vs[j]["invariant"].isString(),
-                              vw + ".invariant missing");
-                    p.require(vs[j]["detail"].isString(),
-                              vw + ".detail missing");
-                }
-            }
+            checkPreemptAfter(p, r, where + ".");
+            checkOutcome(p, r, where + ".", /*needViolation=*/true);
         }
     }
 }
